@@ -1,5 +1,5 @@
 //! Partition scaling sweep: the IEEE paper-query batch evaluated over
-//! 1 / 2 / 4 partition stores at 1 / 4 / 8 executor threads, against the
+//! 1 / 2 / 4 partition stores at 1 / 4 / 8 worker threads, against the
 //! single-store system as the baseline. Writes `BENCH_partition.json`.
 //!
 //! Three properties are checked on every run, at every partition count:
@@ -129,7 +129,7 @@ fn main() {
              \"per_partition\":[{parts_json}]}}"
         ));
 
-        // 3. Throughput sweep: executor threads × this partition count.
+        // 3. Throughput sweep: worker threads × this partition count.
         let mut best_speedup = 0.0f64;
         for &threads in &[1usize, 4, 8] {
             let mut best = Duration::MAX;

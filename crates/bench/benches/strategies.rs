@@ -112,7 +112,7 @@ fn table1(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling sweep of the batch executor: the IEEE paper queries,
+/// Thread-scaling sweep of batch evaluation: the IEEE paper queries,
 /// repeated into a 48-query batch, evaluated at 1/2/4/8 worker threads over
 /// a warm cache. Reports best-of-three wall clock and derived throughput,
 /// and checks the sharded pool's exact accounting: per-shard counter deltas
@@ -140,7 +140,7 @@ fn concurrency_sweep() -> String {
     let opts = EvalOptions::new().k(10);
 
     // Warm the cache so every sweep pass does identical, read-only work.
-    for r in sys.executor().threads(1).evaluate_batch(&batch, opts) {
+    for r in sys.system().evaluate_batch(&batch, opts, 1) {
         r.expect("warmup query");
     }
 
@@ -167,13 +167,12 @@ fn concurrency_sweep() -> String {
     let mut single_best = Duration::ZERO;
     let mut single_fetches = 0u64;
     for (i, &threads) in [1usize, 2, 4, 8].iter().enumerate() {
-        let executor = sys.executor().threads(threads);
         let before = storage.snapshot();
         let shards_before = pool.shard_counters();
         let mut best = Duration::MAX;
         for _ in 0..ITERS {
             let start = Instant::now();
-            for r in executor.evaluate_batch(&batch, opts) {
+            for r in sys.system().evaluate_batch(&batch, opts, threads) {
                 r.expect("sweep query");
             }
             best = best.min(start.elapsed());

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use trex::corpus::{Collection, CorpusConfig, IeeeGenerator, WikiGenerator};
-use trex::{AliasMap, PartitionedTrexSystem, TrexConfig, TrexSystem};
+use trex::{AliasMap, TrexConfig, TrexSystem};
 
 /// Experiment scale: document counts for the two collections.
 #[derive(Debug, Clone, Copy)]
@@ -43,83 +43,56 @@ pub fn store_dir() -> PathBuf {
     dir
 }
 
-/// Builds (or reuses, when `reuse` is set and the file exists) the system
-/// for one collection at the given document count.
+/// Builds (or reuses, when `reuse` is set and the store exists) the
+/// single-store system for one collection at the given document count.
 pub fn build_collection(collection: Collection, docs: usize, reuse: bool) -> TrexSystem {
-    let name = match collection {
-        Collection::Ieee => format!("ieee-{docs}.db"),
-        Collection::Wiki => format!("wiki-{docs}.db"),
-    };
-    let path = store_dir().join(name);
-    let mut config = TrexConfig::new(&path);
-    if collection == Collection::Wiki {
-        config.alias = AliasMap::inex_wiki();
-    }
-    if reuse && path.exists() {
-        if let Ok(system) = TrexSystem::open(config.clone()) {
-            return system;
-        }
-    }
-    match collection {
-        Collection::Ieee => {
-            let gen = IeeeGenerator::new(CorpusConfig {
-                docs,
-                ..CorpusConfig::ieee_default()
-            });
-            TrexSystem::build(config, gen.documents()).expect("build ieee collection")
-        }
-        Collection::Wiki => {
-            let gen = WikiGenerator::new(CorpusConfig {
-                docs,
-                ..CorpusConfig::wiki_default()
-            });
-            TrexSystem::build(config, gen.documents()).expect("build wiki collection")
-        }
-    }
+    build_partitioned_collection(collection, docs, 1, reuse)
 }
 
-/// Builds (or reuses, when `reuse` is set and the whole `.p0 … .p(N-1)`
-/// family exists) the partitioned system for one collection. The corpus
-/// and document order match [`build_collection`] exactly, so answers are
-/// byte-identical to the single-store system at any partition count.
+/// Builds (or reuses, when `reuse` is set and a store of the same
+/// partition count exists) the system for one collection. The corpus and
+/// document order are the same at every partition count, so answers are
+/// byte-identical to the single-store system.
 pub fn build_partitioned_collection(
     collection: Collection,
     docs: usize,
     partitions: usize,
     reuse: bool,
-) -> PartitionedTrexSystem {
-    let name = match collection {
-        Collection::Ieee => format!("ieee-{docs}-part{partitions}.db"),
-        Collection::Wiki => format!("wiki-{docs}-part{partitions}.db"),
+) -> TrexSystem {
+    let (kind, corpus) = match collection {
+        Collection::Ieee => ("ieee", CorpusConfig::ieee_default()),
+        Collection::Wiki => ("wiki", CorpusConfig::wiki_default()),
     };
-    let base = store_dir().join(name);
-    let mut config = TrexConfig::new(&base);
+    let name = if partitions > 1 {
+        format!("{kind}-{docs}-part{partitions}.db")
+    } else {
+        format!("{kind}-{docs}.db")
+    };
+    let mut config = TrexConfig::new(store_dir().join(name));
     if collection == Collection::Wiki {
         config.alias = AliasMap::inex_wiki();
     }
-    if reuse && PartitionedTrexSystem::detect_partitions(&base) == partitions {
-        if let Ok(system) = PartitionedTrexSystem::open(config.clone()) {
-            return system;
+    if reuse {
+        if let Ok(system) = TrexSystem::open(config.clone()) {
+            if system.partitions() == partitions {
+                return system;
+            }
         }
     }
+    let corpus = CorpusConfig { docs, ..corpus };
     match collection {
-        Collection::Ieee => {
-            let gen = IeeeGenerator::new(CorpusConfig {
-                docs,
-                ..CorpusConfig::ieee_default()
-            });
-            PartitionedTrexSystem::build(config, partitions, gen.documents())
-                .expect("build partitioned ieee collection")
-        }
-        Collection::Wiki => {
-            let gen = WikiGenerator::new(CorpusConfig {
-                docs,
-                ..CorpusConfig::wiki_default()
-            });
-            PartitionedTrexSystem::build(config, partitions, gen.documents())
-                .expect("build partitioned wiki collection")
-        }
+        Collection::Ieee => TrexSystem::build_partitioned(
+            config,
+            partitions,
+            IeeeGenerator::new(corpus).documents(),
+        ),
+        Collection::Wiki => TrexSystem::build_partitioned(
+            config,
+            partitions,
+            WikiGenerator::new(corpus).documents(),
+        ),
     }
+    .expect("build collection")
 }
 
 /// The k values swept in the figures: roughly geometric, clamped to the

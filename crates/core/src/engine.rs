@@ -321,8 +321,9 @@ pub struct Explain {
 
 /// Evaluates NEXI queries against a [`TrexIndex`].
 ///
-/// Cloning is free (two references and a [`Analyzer`] config struct); the
-/// executor clones the engine into a per-batch [`QueryService`](crate::QueryService).
+/// Constructing or cloning one is free (two references and an [`Analyzer`]
+/// config struct), so [`Partition::engine`](crate::Partition::engine) makes
+/// one per query.
 #[derive(Clone)]
 pub struct QueryEngine<'a> {
     index: &'a TrexIndex,
@@ -333,9 +334,9 @@ pub struct QueryEngine<'a> {
     profiler: Option<&'a WorkloadProfiler>,
 }
 
-// The batch executor shares one engine across its worker threads, so losing
-// either auto-trait (say, by giving the engine an `Rc` or `Cell` field) must
-// be a compile error here rather than a surprise in `executor.rs`.
+// Batch evaluation and the scatter run engines on scoped worker threads, so
+// losing either auto-trait (say, by giving the engine an `Rc` or `Cell`
+// field) must be a compile error here rather than a surprise in `scoped.rs`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine<'static>>();

@@ -2,8 +2,9 @@
 //! on-disk tables.
 //!
 //! The delta ([`trex_index::DeltaIndex`]) absorbs ingested documents in
-//! memory, WAL-backed. When it crosses a size threshold the [`FoldManager`]
-//! (a sibling of [`SelfManager`](crate::SelfManager)) runs [`fold_once`]:
+//! memory, WAL-backed. When a partition's delta crosses a size threshold the
+//! [`FoldManager`] (a sibling of [`SelfManager`](crate::SelfManager), on
+//! the same [`BackgroundWorker`] shell) runs [`fold_once`] on it:
 //! one maintenance-write-gate critical section that appends the staged
 //! postings, element rows and documents to the B+tree tables, persists any
 //! dictionary growth, refreshes every affected redundant list, and drains
@@ -26,17 +27,17 @@
 //! reopening the store recovers every acknowledged document.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use trex_index::catalog::{self, blob_names, TermStats};
 use trex_index::{DocStoreWriter, Position, TrexIndex};
 use trex_summary::Sid;
 use trex_text::{Dictionary, TermId};
 
 use crate::materialize::collect_lists;
+use crate::partition::PartitionedSystem;
+use crate::worker::BackgroundWorker;
 use crate::{Result, TrexError};
 
 /// Options for the background fold thread.
@@ -94,7 +95,8 @@ impl Default for FoldOptions {
     }
 }
 
-/// What one fold did.
+/// What one fold did (summed over partitions when a system-level fold
+/// touched several).
 #[derive(Debug, Clone)]
 pub struct FoldReport {
     /// Documents merged into the tables.
@@ -295,128 +297,87 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
     }))
 }
 
+/// Folds `indexes` one after another and merges their reports: counts and
+/// gate pauses add up (a scatter query can wait behind each partition's
+/// gate in turn), the generation is the maximum, matching
+/// [`PartitionedSystem::generation`]. `None` when every delta was empty. An
+/// error leaves the remaining deltas for the next call.
+pub(crate) fn fold_each<'a>(
+    indexes: impl IntoIterator<Item = &'a TrexIndex>,
+) -> Result<Option<FoldReport>> {
+    let mut merged: Option<FoldReport> = None;
+    for index in indexes {
+        let Some(report) = fold_once(index)? else {
+            continue;
+        };
+        merged = Some(match merged {
+            None => report,
+            Some(sum) => FoldReport {
+                docs_folded: sum.docs_folded + report.docs_folded,
+                new_terms: sum.new_terms + report.new_terms,
+                lists_refreshed: sum.lists_refreshed + report.lists_refreshed,
+                pause: sum.pause + report.pause,
+                wall: sum.wall + report.wall,
+                generation: sum.generation.max(report.generation),
+            },
+        });
+    }
+    Ok(merged)
+}
+
 fn storage(e: trex_storage::StorageError) -> TrexError {
     TrexError::from(e)
 }
 
-#[derive(Debug, Default)]
-struct FoldStatus {
-    last: Option<FoldReport>,
-    last_error: Option<String>,
-    folds: u64,
-}
+/// A handle to the background fold worker. Stops (and joins) on
+/// [`stop`](FoldManager::stop) or drop.
+pub type FoldManager = BackgroundWorker<FoldReport>;
 
-/// A handle to the background fold thread. Stops (and joins) on
-/// [`FoldManager::stop`] or drop.
-pub struct FoldManager {
-    stop: Arc<AtomicBool>,
-    status: Arc<Mutex<FoldStatus>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FoldManager {
-    /// Starts the background fold loop: every `opts.interval`, fold if the
-    /// delta crossed either threshold. A final fold on shutdown is *not*
-    /// attempted — the WAL already holds every unfolded document.
-    pub fn start(index: Arc<TrexIndex>, opts: FoldOptions) -> Result<FoldManager> {
-        FoldManager::start_with(index, opts, None)
-    }
-
-    /// [`FoldManager::start`] with an optional health surface whose
-    /// `folds_in_flight` gauge brackets every fold attempt (so `/readyz`
-    /// can report folds in progress).
-    pub fn start_with(
-        index: Arc<TrexIndex>,
+impl BackgroundWorker<FoldReport> {
+    /// Starts the background fold loop: every `opts.interval`, fold every
+    /// partition whose delta crossed either threshold. A final fold on
+    /// shutdown is *not* attempted — the WAL already holds every unfolded
+    /// document. `health`'s `folds_in_flight` gauge, when given, brackets
+    /// every fold attempt (so `/readyz` can report folds in progress).
+    pub fn start(
+        system: Arc<PartitionedSystem>,
         opts: FoldOptions,
         health: Option<Arc<trex_obs::Health>>,
     ) -> Result<FoldManager> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let status = Arc::new(Mutex::new(FoldStatus::default()));
-        let handle = {
-            let stop = stop.clone();
-            let status = status.clone();
-            std::thread::Builder::new()
-                .name("trex-fold".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let wake = Instant::now() + opts.interval;
-                        while Instant::now() < wake {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(10).min(opts.interval));
-                        }
-                        let delta = index.delta();
-                        if delta.doc_count() < opts.max_docs
-                            && delta.approx_bytes() < opts.max_bytes
-                        {
-                            continue;
-                        }
-                        let _busy = health
-                            .as_ref()
-                            .map(|h| trex_obs::InFlight::enter(&h.folds_in_flight));
-                        match fold_once(&index) {
-                            Ok(Some(report)) => {
-                                if opts.log_folds {
-                                    eprintln!(
-                                        "fold: {} docs, {} new terms, {} lists refreshed, \
-                                         pause {:.3} ms, total {:.3} ms",
-                                        report.docs_folded,
-                                        report.new_terms,
-                                        report.lists_refreshed,
-                                        report.pause.as_secs_f64() * 1e3,
-                                        report.wall.as_secs_f64() * 1e3,
-                                    );
-                                }
-                                let mut s = status.lock();
-                                s.last = Some(report);
-                                s.last_error = None;
-                                s.folds += 1;
-                            }
-                            Ok(None) => {}
-                            Err(e) => status.lock().last_error = Some(e.to_string()),
-                        }
-                    }
+        BackgroundWorker::spawn("trex-fold", opts.interval, move || {
+            let due: Vec<&TrexIndex> = system
+                .parts()
+                .iter()
+                .map(|part| part.index().as_ref())
+                .filter(|index| {
+                    let delta = index.delta();
+                    delta.doc_count() >= opts.max_docs || delta.approx_bytes() >= opts.max_bytes
                 })
-                .map_err(|e| TrexError::Unsupported(format!("cannot spawn fold thread: {e}")))?
-        };
-        Ok(FoldManager {
-            stop,
-            status,
-            handle: Some(handle),
+                .collect();
+            if due.is_empty() {
+                return Ok(None);
+            }
+            let _busy = health
+                .as_ref()
+                .map(|h| trex_obs::InFlight::enter(&h.folds_in_flight));
+            let report = fold_each(due)?;
+            if let (true, Some(report)) = (opts.log_folds, &report) {
+                eprintln!(
+                    "fold: {} docs, {} new terms, {} lists refreshed, \
+                     pause {:.3} ms, total {:.3} ms",
+                    report.docs_folded,
+                    report.new_terms,
+                    report.lists_refreshed,
+                    report.pause.as_secs_f64() * 1e3,
+                    report.wall.as_secs_f64() * 1e3,
+                );
+            }
+            Ok(report)
         })
     }
 
-    /// The most recent fold's report, if any fold has completed.
-    pub fn last_report(&self) -> Option<FoldReport> {
-        self.status.lock().last.clone()
-    }
-
-    /// The most recent fold error, if the last attempt failed.
-    pub fn last_error(&self) -> Option<String> {
-        self.status.lock().last_error.clone()
-    }
-
-    /// Number of completed folds.
+    /// Number of ticks that folded at least one partition.
     pub fn folds(&self) -> u64 {
-        self.status.lock().folds
-    }
-
-    /// Stops the background thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FoldManager {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.completed()
     }
 }

@@ -12,7 +12,6 @@
 pub mod answer;
 pub mod engine;
 pub mod era;
-pub mod executor;
 pub mod heap;
 pub mod ingest;
 pub mod materialize;
@@ -20,9 +19,13 @@ pub mod merge;
 pub mod metrics;
 pub mod partition;
 pub mod qsort;
+mod scoped;
 pub mod selfmanage;
 pub mod serve;
 pub mod ta;
+#[cfg(test)]
+mod testing;
+mod worker;
 
 use std::fmt;
 
@@ -35,7 +38,6 @@ pub use engine::{
     EvalOptions, Explain, QueryEngine, QueryResult, RaceWinner, Strategy, StrategyStats,
 };
 pub use era::{era, era_with_deadline, EraMatch, EraStats};
-pub use executor::QueryExecutor;
 pub use heap::{HeapClock, HeapPolicy, TopKHeap};
 pub use ingest::{fold_once, FoldManager, FoldOptions, FoldReport};
 pub use materialize::{
@@ -44,9 +46,8 @@ pub use materialize::{
 pub use merge::{merge, merge_with_cancel, MergeStats};
 pub use metrics::StrategyMetrics;
 pub use partition::{
-    merge_topk, partition_store_path, partitioned_cycle_record, reconcile_partitioned,
-    split_budget, Partition, PartitionBudget, PartitionedCycle, PartitionedSelfManager,
-    PartitionedSystem,
+    merge_topk, partition_store_path, reconcile_partitioned, split_budget, Partition,
+    PartitionBudget, PartitionedCycle, PartitionedSystem,
 };
 pub use qsort::quicksort;
 pub use selfmanage::cost::{
@@ -62,6 +63,7 @@ pub use serve::{
     QueryRequest, QueryResponse, QueryService, ResultCache, WireError, DEFAULT_CACHE_ENTRIES,
 };
 pub use ta::{ta, ta_with_cancel, TaOptions, TaStats, TA_MAX_TERMS};
+pub use worker::BackgroundWorker;
 
 /// Errors from query evaluation.
 #[derive(Debug)]

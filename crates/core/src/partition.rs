@@ -1,8 +1,10 @@
-//! Partitioned serving: N independent stores behind one rank-safe façade.
+//! The system the serving and management layers know: N ≥ 1 independent
+//! stores behind one rank-safe façade.
 //!
-//! A [`PartitionedSystem`] owns N complete single-store systems (each with
-//! its own pager, buffer pool, WAL, delta index and profiler) and makes
-//! them answer as one. Documents are routed to partitions by a pure hash of
+//! A [`PartitionedSystem`] owns N partitions (each with its own pager,
+//! buffer pool, WAL, delta index and profiler) and makes them answer as
+//! one; a single store is the N = 1 case, evaluated directly with no
+//! scatter. Documents are routed to partitions by a pure hash of
 //! their **global** doc id ([`trex_index::partition_of`]) at build time and
 //! at live-ingest time, so a document's home partition never moves. Every
 //! partition store carries the **same** catalog — global dictionary,
@@ -24,17 +26,16 @@
 //!
 //! # Self-management
 //!
-//! [`PartitionedSelfManager`] runs the §4 advisor per partition under a
-//! **global** byte budget, re-split every cycle proportionally to
-//! per-partition workload heat: the profiler's decayed shape weights,
-//! scaled by the partition-local extent sizes those shapes touch (the
-//! profiled weights themselves are identical across partitions — every
-//! partition sees every query — so locality lives entirely in the extent
-//! term).
+//! [`SelfManager`](crate::SelfManager) runs the §4 advisor per partition
+//! ([`reconcile_partitioned`]) under a **global** byte budget, re-split
+//! every cycle proportionally to per-partition workload heat: the
+//! profiler's decayed shape weights, scaled by the partition-local extent
+//! sizes those shapes touch (the profiled weights themselves are identical
+//! across partitions — every partition sees every query — so locality lives
+//! entirely in the extent term). One partition gets the whole budget.
 
 use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,14 +45,12 @@ use trex_obs::TraceNode;
 
 use crate::answer::Answer;
 use crate::engine::{EvalOptions, QueryEngine, QueryResult, StrategyStats};
-use crate::executor::run_scoped;
-use crate::ingest::{fold_once, FoldReport};
+use crate::ingest::{fold_each, FoldReport};
+use crate::scoped::run_scoped;
 use crate::selfmanage::{
-    cycle_record, reconcile_once, CostCache, ManagerHooks, ReconcileReport, SelfManageOptions,
-    WorkloadProfiler,
+    reconcile_once, CostCache, ReconcileReport, SelfManageOptions, WorkloadProfiler,
 };
-use crate::{RaceWinner, Result, TrexError};
-use trex_obs::{CycleRecord, InFlight, SplitRecord};
+use crate::{RaceWinner, Result};
 
 /// The store path of partition `i` for a system whose single-store path
 /// would be `base`: `base` with `.p{i}` appended (`corpus.trex` →
@@ -87,42 +86,33 @@ impl Partition {
     pub fn profiler(&self) -> &Arc<WorkloadProfiler> {
         &self.profiler
     }
+
+    /// A query engine over this partition alone, feeding its profiler.
+    pub fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine::new(&self.index).with_profiler(&self.profiler)
+    }
 }
 
-/// N partitions serving as one system: scatter-gather evaluation, routed
-/// ingest, per-partition folds.
+/// N ≥ 1 partitions serving as one system: scatter-gather evaluation,
+/// routed ingest, per-partition folds.
 pub struct PartitionedSystem {
     parts: Vec<Partition>,
-    /// Next **global** doc id to hand out; advanced only after a successful
-    /// ingest so failed documents (unknown path, WAL error) do not burn
-    /// ids — same semantics as the single-store allocator.
-    next_doc_id: AtomicU32,
-    /// Serialises id allocation + routed ingest so two concurrent ingests
-    /// cannot race the watermark (each partition additionally serialises
-    /// its own WAL appends, but the global id decision must be atomic with
-    /// the routed write).
+    /// Serialises id allocation + routed ingest: the global id decision
+    /// (the maximum of the partitions' own watermarks) must be atomic with
+    /// the routed write that advances one of them.
     ingest_lock: Mutex<()>,
 }
 
 impl PartitionedSystem {
-    /// Assembles a system from opened partitions. The global doc-id
-    /// watermark resumes from the highest next-id any partition persisted
-    /// or recovered — ids are global, so the maximum over partitions is
-    /// exactly the single-store watermark.
+    /// Assembles a system from opened partitions.
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty.
     pub fn from_parts(parts: Vec<Partition>) -> PartitionedSystem {
-        assert!(!parts.is_empty(), "a partitioned system needs >= 1 store");
-        let next = parts
-            .iter()
-            .map(|p| p.index.delta().peek_next_doc_id().unwrap_or(u32::MAX))
-            .max()
-            .expect("non-empty parts");
+        assert!(!parts.is_empty(), "a system needs >= 1 store");
         PartitionedSystem {
             parts,
-            next_doc_id: AtomicU32::new(next),
             ingest_lock: Mutex::new(()),
         }
     }
@@ -160,20 +150,12 @@ impl PartitionedSystem {
     /// evaluate directly — no scatter overhead, and the result's stats are
     /// the strategy's own rather than a one-element scatter.
     pub fn evaluate(&self, nexi: &str, opts: EvalOptions) -> Result<QueryResult> {
-        if self.parts.len() == 1 {
-            let part = &self.parts[0];
-            return QueryEngine::new(&part.index)
-                .with_profiler(&part.profiler)
-                .evaluate(nexi, opts);
+        if let [only] = self.parts.as_slice() {
+            return only.engine().evaluate(nexi, opts);
         }
         let started = Instant::now();
         let n = self.parts.len();
-        let results = run_scoped(n, n, |i| {
-            let part = &self.parts[i];
-            QueryEngine::new(&part.index)
-                .with_profiler(&part.profiler)
-                .evaluate(nexi, opts)
-        });
+        let results = run_scoped(n, n, |i| self.parts[i].engine().evaluate(nexi, opts));
         let mut per_part = Vec::with_capacity(n);
         for result in results {
             per_part.push(result?);
@@ -181,10 +163,12 @@ impl PartitionedSystem {
         Ok(merge_results(per_part, opts, started.elapsed()))
     }
 
-    /// Evaluates a batch of NEXI queries on `threads` worker threads (the
-    /// executor's scoped pool), returning per-query results in input order.
-    /// Each query still scatters to every partition; the scoped pools
-    /// compose, so total parallelism is `threads × partitions`.
+    /// Evaluates a batch of NEXI queries on `threads` scoped worker threads,
+    /// returning per-query results in input order. Each query is evaluated
+    /// exactly once; one that fails (or panics) yields its own `Err` without
+    /// affecting its neighbours. With N > 1 each query still scatters to
+    /// every partition; the scoped pools compose, so total parallelism is
+    /// `threads × partitions`.
     pub fn evaluate_batch<Q: AsRef<str> + Sync>(
         &self,
         queries: &[Q],
@@ -201,28 +185,33 @@ impl PartitionedSystem {
 /// type directly: no query machinery is involved, and callers (the serving
 /// layer's ingest endpoint) map id exhaustion to their own vocabulary.
 impl PartitionedSystem {
-    /// Ingests one document: allocates the next global id, routes it to
-    /// its home partition by [`trex_index::partition_of`], and ingests
-    /// there under the explicit id. Returns the global id.
+    /// Ingests one document: allocates the next global id — the maximum of
+    /// the partitions' own watermarks, so an id a partition handed out on
+    /// its own is never reused — routes it to its home partition by
+    /// [`trex_index::partition_of`], and ingests there under the explicit
+    /// id. Returns the global id. Failed documents (unknown path, WAL
+    /// error) burn no id.
     pub fn ingest_document(&self, xml: &str) -> std::result::Result<u32, trex_index::IndexError> {
         let _serial = self.ingest_lock.lock();
-        let doc_id = self.next_doc_id.load(Ordering::Acquire);
-        if doc_id == u32::MAX {
-            return Err(trex_index::IndexError::DocIdsExhausted);
+        let mut doc_id = 0;
+        for part in &self.parts {
+            doc_id = doc_id.max(part.index.delta().peek_next_doc_id()?);
         }
-        let p = trex_index::partition_of(doc_id, self.parts.len());
-        self.parts[p].index.ingest_document_with_id(doc_id, xml)?;
-        self.next_doc_id.store(doc_id + 1, Ordering::Release);
+        let home = trex_index::partition_of(doc_id, self.parts.len());
+        self.parts[home]
+            .index
+            .ingest_document_with_id(doc_id, xml)?;
         Ok(doc_id)
     }
 
-    /// Folds every partition's delta into its tables (partitions with an
-    /// empty delta report `None`). Folds are independent — each partition's
-    /// fold sees only documents routed to it, and scoring inputs are
-    /// frozen (see `crate::ingest` docs) — so per-partition folds preserve
-    /// cross-partition byte identity for all searchable terms.
-    pub fn fold_once(&self) -> Result<Vec<Option<FoldReport>>> {
-        self.parts.iter().map(|p| fold_once(&p.index)).collect()
+    /// Folds every partition's delta into its tables and returns the
+    /// merged report (`None` when every delta was empty). Folds are
+    /// independent — each partition's fold sees only documents routed to
+    /// it, and scoring inputs are frozen (see `crate::ingest` docs) — so
+    /// per-partition folds preserve cross-partition byte identity for all
+    /// searchable terms.
+    pub fn fold_once(&self) -> Result<Option<FoldReport>> {
+        fold_each(self.parts.iter().map(|p| p.index.as_ref()))
     }
 }
 
@@ -389,7 +378,7 @@ pub struct PartitionBudget {
     pub budget_bytes: u64,
 }
 
-/// One completed partitioned reconcile cycle.
+/// One completed reconcile cycle over every partition of a system.
 #[derive(Debug, Clone)]
 pub struct PartitionedCycle {
     /// Cycle ordinal (1-based).
@@ -400,6 +389,23 @@ pub struct PartitionedCycle {
     pub reports: Vec<ReconcileReport>,
     /// Wall-clock time of the whole cycle (all partitions).
     pub wall: Duration,
+}
+
+impl PartitionedCycle {
+    /// Lists written this cycle, over all partitions.
+    pub fn lists_materialized(&self) -> usize {
+        self.reports.iter().map(|r| r.lists_materialized).sum()
+    }
+
+    /// Lists dropped this cycle, over all partitions.
+    pub fn lists_dropped(&self) -> usize {
+        self.reports.iter().map(|r| r.lists_dropped).sum()
+    }
+
+    /// Registry bytes (RPLs + ERPLs) after the cycle, over all partitions.
+    pub fn bytes_used(&self) -> u64 {
+        self.reports.iter().map(|r| r.bytes_used).sum()
+    }
 }
 
 /// Splits `total_bytes` across partitions proportionally to workload heat.
@@ -424,27 +430,30 @@ pub fn split_budget(
         .map(|p| partition_heat(p, max_queries))
         .collect();
     let sum: f64 = heats.iter().sum();
-    let mut budgets: Vec<PartitionBudget> = Vec::with_capacity(n);
-    if sum <= 0.0 || !sum.is_finite() {
-        let share = total_bytes / n as u64;
-        for (i, &heat) in heats.iter().enumerate() {
-            budgets.push(PartitionBudget {
-                partition: i,
+    let measurable = sum > 0.0 && sum.is_finite();
+    // Shares are floored, clamped to what is left, and the last partition
+    // takes the remainder — so the shares never exceed the total, and a
+    // single partition gets exactly `total_bytes` with no float round-trip.
+    let mut remaining = total_bytes;
+    heats
+        .iter()
+        .enumerate()
+        .map(|(partition, &heat)| {
+            let share = if partition + 1 == n {
+                remaining
+            } else if measurable {
+                ((total_bytes as f64 * (heat / sum)).floor() as u64).min(remaining)
+            } else {
+                total_bytes / n as u64
+            };
+            remaining -= share;
+            PartitionBudget {
+                partition,
                 heat,
                 budget_bytes: share,
-            });
-        }
-        return budgets;
-    }
-    for (i, &heat) in heats.iter().enumerate() {
-        let share = (total_bytes as f64 * (heat / sum)).floor() as u64;
-        budgets.push(PartitionBudget {
-            partition: i,
-            heat,
-            budget_bytes: share,
-        });
-    }
-    budgets
+            }
+        })
+        .collect()
 }
 
 /// The workload heat of one partition (see [`split_budget`]). Shapes whose
@@ -513,170 +522,129 @@ pub fn reconcile_partitioned(
     })
 }
 
-/// Converts a completed partitioned cycle into one journal entry: the
-/// per-partition budget splits become [`SplitRecord`]s, and each
-/// partition's shapes/deltas are concatenated with the delta records'
-/// `partition` field rewritten to the owning partition.
-pub fn partitioned_cycle_record(cycle: &PartitionedCycle, budget_bytes: u64) -> CycleRecord {
-    let mut record = CycleRecord {
-        cycle: cycle.cycle,
-        unix_ms: trex_obs::unix_ms(),
-        budget_bytes,
-        wall_us: u64::try_from(cycle.wall.as_micros()).unwrap_or(u64::MAX),
-        ..CycleRecord::default()
-    };
-    record.splits = cycle
-        .budgets
-        .iter()
-        .map(|b| SplitRecord {
-            partition: b.partition as u64,
-            heat: b.heat,
-            budget_bytes: b.budget_bytes,
-        })
-        .collect();
-    for (i, (report, budget)) in cycle.reports.iter().zip(&cycle.budgets).enumerate() {
-        let part = cycle_record(report, budget.budget_bytes, cycle.cycle);
-        record.generation = record.generation.max(part.generation);
-        record.bytes_used += part.bytes_used;
-        record.lists_materialized += part.lists_materialized;
-        record.lists_dropped += part.lists_dropped;
-        record.gate_pause_us += part.gate_pause_us;
-        record.shapes.extend(part.shapes);
-        record.deltas.extend(part.deltas.into_iter().map(|mut d| {
-            d.partition = i as u64;
-            d
-        }));
-    }
-    record
-}
-
-#[derive(Debug, Default)]
-struct PartitionedManagerStatus {
-    last: Option<PartitionedCycle>,
-    last_error: Option<String>,
-}
-
-/// Background self-management for a partitioned system: every
-/// `opts.interval`, one [`reconcile_partitioned`] cycle — re-splitting the
-/// global `opts.budget_bytes` by current heat each time, so budget follows
-/// the workload as it shifts between partitions. Stops (and joins) on
-/// [`stop`](PartitionedSelfManager::stop) or drop.
-pub struct PartitionedSelfManager {
-    stop: Arc<AtomicBool>,
-    status: Arc<Mutex<PartitionedManagerStatus>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl PartitionedSelfManager {
-    /// Starts the background loop. Touches every partition's RPL/ERPL
-    /// tables up front so table creation (a structural store write) never
-    /// races concurrent serving.
-    pub fn start(
-        system: Arc<PartitionedSystem>,
-        opts: SelfManageOptions,
-    ) -> Result<PartitionedSelfManager> {
-        PartitionedSelfManager::start_with(system, opts, ManagerHooks::none())
-    }
-
-    /// [`PartitionedSelfManager::start`] with observability hooks: each
-    /// completed cycle records one aggregated [`CycleRecord`] (budget
-    /// splits included) into `hooks.journal`, and `hooks.health`'s
-    /// `reconciles_in_flight` gauge brackets every cycle.
-    pub fn start_with(
-        system: Arc<PartitionedSystem>,
-        opts: SelfManageOptions,
-        hooks: ManagerHooks,
-    ) -> Result<PartitionedSelfManager> {
-        for part in system.parts() {
-            part.index.rpls()?;
-            part.index.erpls()?;
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let status = Arc::new(Mutex::new(PartitionedManagerStatus::default()));
-        let handle = {
-            let stop = stop.clone();
-            let status = status.clone();
-            std::thread::Builder::new()
-                .name("trex-selfmanage-part".into())
-                .spawn(move || {
-                    let mut caches: Vec<CostCache> =
-                        (0..system.partitions()).map(|_| CostCache::new()).collect();
-                    let mut cycle = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        // Sleep in slices so stop() returns promptly even
-                        // with long intervals.
-                        let wake = Instant::now() + opts.interval;
-                        while Instant::now() < wake {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(10).min(opts.interval));
-                        }
-                        cycle += 1;
-                        let _busy = hooks
-                            .health
-                            .as_ref()
-                            .map(|h| InFlight::enter(&h.reconciles_in_flight));
-                        match reconcile_partitioned(&system, &opts, &mut caches, cycle) {
-                            Ok(report) => {
-                                if let Some(journal) = &hooks.journal {
-                                    journal.record(partitioned_cycle_record(
-                                        &report,
-                                        opts.budget_bytes,
-                                    ));
-                                }
-                                let mut s = status.lock();
-                                s.last = Some(report);
-                                s.last_error = None;
-                            }
-                            Err(e) => status.lock().last_error = Some(e.to_string()),
-                        }
-                    }
-                })
-                .map_err(|e| {
-                    TrexError::Unsupported(format!("cannot spawn self-manage thread: {e}"))
-                })?
-        };
-        Ok(PartitionedSelfManager {
-            stop,
-            status,
-            handle: Some(handle),
-        })
-    }
-
-    /// The most recent completed cycle, if any.
-    pub fn last_cycle(&self) -> Option<PartitionedCycle> {
-        self.status.lock().last.clone()
-    }
-
-    /// The most recent cycle error, if the last cycle failed.
-    pub fn last_error(&self) -> Option<String> {
-        self.status.lock().last_error.clone()
-    }
-
-    /// Stops the background thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for PartitionedSelfManager {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestSystem;
     use trex_index::ElementRef;
+
+    fn corpus() -> Vec<String> {
+        (0..24)
+            .map(|i| {
+                let noise = ["xml", "query", "index", "summary"][i % 4];
+                format!("<a><s>cat dog {noise}</s><s>bird {noise} w{i}</s></a>")
+            })
+            .collect()
+    }
+
+    const QUERIES: [&str; 5] = [
+        "//a//s[about(., cat)]",
+        "//a//s[about(., bird xml)]",
+        "//a//s[about(., query)]",
+        "//a//s[about(., dog summary)]",
+        "//a//s[about(., w3)]",
+    ];
+
+    #[test]
+    fn batch_matches_serial_in_input_order_at_any_partition_count() {
+        let opts = EvalOptions::new().k(Some(5));
+        let single = TestSystem::build("batch-n1", 1, &corpus());
+        let serial: Vec<_> = QUERIES
+            .iter()
+            .map(|q| single.evaluate(q, opts).unwrap().answers)
+            .collect();
+        for partitions in [1, 3] {
+            let system =
+                TestSystem::build(&format!("batch-order-{partitions}"), partitions, &corpus());
+            let batch = system.evaluate_batch(&QUERIES, opts, 4);
+            assert_eq!(batch.len(), QUERIES.len());
+            for (got, want) in batch.into_iter().zip(&serial) {
+                assert_eq!(&got.unwrap().answers, want);
+            }
+        }
+    }
+
+    #[test]
+    fn one_failing_query_does_not_poison_the_batch() {
+        let system = TestSystem::build("batch-err", 2, &corpus());
+        let queries = [
+            "//a//s[about(., cat)]",
+            "//a//s[about(., )]]]", // malformed NEXI
+            "//a//s[about(., bird)]",
+        ];
+        let results = system.evaluate_batch(&queries, EvalOptions::new().k(Some(3)), 3);
+        assert!(results[0].is_ok());
+        assert!(results[1].is_err());
+        assert!(results[2].is_ok());
+    }
+
+    #[test]
+    fn empty_batch_single_thread_and_traced_paths() {
+        let system = TestSystem::build("batch-edges", 1, &corpus());
+        let none: Vec<&str> = Vec::new();
+        assert!(system
+            .evaluate_batch(&none, EvalOptions::new(), 1)
+            .is_empty());
+        let opts = EvalOptions::new().k(Some(4)).trace(true);
+        for threads in [1, 2] {
+            let results = system.evaluate_batch(&QUERIES[..2], opts, threads);
+            assert_eq!(results.len(), 2);
+            for r in results {
+                let trace = r.unwrap().trace.expect("trace requested");
+                assert!(!trace.strategy.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn one_partition_reports_the_strategys_own_stats() {
+        let single = TestSystem::build("stats-n1", 1, &corpus());
+        let parted = TestSystem::build("stats-n2", 2, &corpus());
+        let opts = EvalOptions::new().k(Some(5));
+        assert!(matches!(
+            single.evaluate(QUERIES[0], opts).unwrap().stats,
+            StrategyStats::Era(_)
+        ));
+        assert!(matches!(
+            parted.evaluate(QUERIES[0], opts).unwrap().stats,
+            StrategyStats::Scatter { partitions: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn budget_split_is_exact_at_one_partition_and_never_overspends() {
+        // Above 2^53 an f64 round-trip would lose the low bits.
+        let total = (1u64 << 60) + 12_345;
+        let single = TestSystem::build("split-n1", 1, &corpus());
+        for warm in [false, true] {
+            if warm {
+                single
+                    .evaluate(QUERIES[0], EvalOptions::new().k(Some(5)))
+                    .unwrap();
+            }
+            let budgets = split_budget(&single, total, 8);
+            assert_eq!(budgets.len(), 1);
+            assert_eq!(budgets[0].budget_bytes, total);
+        }
+
+        let parted = TestSystem::build("split-n4", 4, &corpus());
+        for warm in [false, true] {
+            if warm {
+                for q in QUERIES {
+                    parted.evaluate(q, EvalOptions::new().k(Some(5))).unwrap();
+                }
+            }
+            for total in [0u64, 3, 1001, total] {
+                let budgets = split_budget(&parted, total, 8);
+                assert_eq!(budgets.len(), 4);
+                let spent: u128 = budgets.iter().map(|b| u128::from(b.budget_bytes)).sum();
+                assert!(spent <= u128::from(total), "{budgets:?}");
+            }
+        }
+        assert!(split_budget(&parted, 1 << 20, 8)
+            .iter()
+            .any(|b| b.heat > 0.0));
+    }
 
     fn answer(score: f32, doc: u32, end: u32, sid: u32) -> Answer {
         Answer {

@@ -4,9 +4,11 @@
 //! The offline [`Advisor`] answers "given this workload, which lists should
 //! exist?" — but it assumes a quiesced system and a hand-written workload.
 //! This module closes the loop of the paper's title: the
-//! [`WorkloadProfiler`] observes the live query stream, [`reconcile_once`]
-//! periodically re-runs the §4 selection under the disk budget, and the
-//! delta is applied *list by list* under the index's maintenance write gate
+//! [`WorkloadProfiler`] observes the live query stream, the [`SelfManager`]
+//! periodically re-runs the §4 selection under the disk budget — one
+//! [`reconcile_once`] per partition, each under its share of the budget —
+//! and the delta is applied *list by list* under the index's maintenance
+//! write gate
 //! — queries keep flowing between list mutations, and one that lands
 //! mid-reconcile simply observes partial coverage and falls back to ERA
 //! (correct answers, never an error; counted as `era_fallbacks`).
@@ -22,20 +24,22 @@
 //! [`Advisor`]: super::advisor::Advisor
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use trex_index::TrexIndex;
-use trex_obs::{AdvisorJournal, CycleRecord, Health, InFlight, ListDeltaRecord, ShapeRecord};
+use trex_obs::{
+    AdvisorJournal, CycleRecord, Health, InFlight, ListDeltaRecord, ShapeRecord, SplitRecord,
+};
 use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::engine::{EvalOptions, QueryEngine, Strategy};
 use crate::materialize::{collect_lists, erpl_list_bytes, rpl_list_bytes, ScoredLists};
+use crate::partition::{reconcile_partitioned, PartitionedCycle, PartitionedSystem};
 use crate::ta::TA_MAX_TERMS;
-use crate::{Result, TrexError};
+use crate::worker::BackgroundWorker;
+use crate::Result;
 
 use super::advisor::SelectionMethod;
 use super::cost::{predicted_merge_accesses, predicted_ta_accesses, Choice, ListId, QueryCost};
@@ -170,7 +174,7 @@ pub struct ReconcileReport {
     /// The maintenance generation after the cycle's last mutation.
     pub generation: u64,
     /// Every list mutation the cycle applied, with byte deltas (the
-    /// `partition` field is 0; `reconcile_partitioned` rewrites it).
+    /// `partition` field is 0; [`cycle_record`] rewrites it).
     pub deltas: Vec<ListDeltaRecord>,
     /// Total wall time queries were excluded by the write gate — summed
     /// over the cycle's list mutations, each of which gates individually.
@@ -416,19 +420,54 @@ pub fn reconcile_once(
     })
 }
 
-/// Converts a completed cycle's report into the structured journal entry
-/// the advisor decision journal stores and `/v1/advisor/history` serves:
-/// the workload snapshot with per-shape predicted-vs-measured costs, the
-/// chosen/dropped lists with byte deltas, and the cycle's gate pause.
-pub fn cycle_record(report: &ReconcileReport, budget_bytes: u64, cycle: u64) -> CycleRecord {
+/// Converts a completed cycle into the structured journal entry the
+/// advisor decision journal stores and `/v1/advisor/history` serves: the
+/// per-partition budget splits, each partition's workload snapshot with
+/// per-shape predicted-vs-measured costs, the chosen/dropped lists with
+/// byte deltas (labelled with their partition), and the summed gate pause.
+pub fn cycle_record(cycle: &PartitionedCycle, budget_bytes: u64) -> CycleRecord {
+    let mut record = CycleRecord {
+        cycle: cycle.cycle,
+        unix_ms: trex_obs::unix_ms(),
+        budget_bytes,
+        bytes_used: cycle.bytes_used(),
+        lists_materialized: cycle.lists_materialized() as u64,
+        lists_dropped: cycle.lists_dropped() as u64,
+        wall_us: u64::try_from(cycle.wall.as_micros()).unwrap_or(u64::MAX),
+        ..CycleRecord::default()
+    };
+    for (report, budget) in cycle.reports.iter().zip(&cycle.budgets) {
+        let partition = budget.partition as u64;
+        record.splits.push(SplitRecord {
+            partition,
+            heat: budget.heat,
+            budget_bytes: budget.budget_bytes,
+        });
+        record.generation = record.generation.max(report.generation);
+        record.gate_pause_us = record
+            .gate_pause_us
+            .saturating_add(u64::try_from(report.gate_pause.as_micros()).unwrap_or(u64::MAX));
+        record.shapes.extend(shape_records(report));
+        record
+            .deltas
+            .extend(report.deltas.iter().cloned().map(|mut delta| {
+                delta.partition = partition;
+                delta
+            }));
+    }
+    record
+}
+
+/// One partition's workload snapshot: what the solver compared per shape.
+fn shape_records(report: &ReconcileReport) -> impl Iterator<Item = ShapeRecord> + '_ {
     let us = |secs: f64| (secs * 1e6).max(0.0);
-    let shapes = report
+    report
         .workload
         .queries()
         .iter()
         .zip(&report.costs)
         .zip(&report.selection.choices)
-        .map(|((wq, cost), choice)| {
+        .map(move |((wq, cost), choice)| {
             let (choice_str, bytes) = match choice {
                 Choice::None => ("none", 0),
                 Choice::Erpl => ("erpl", cost.s_erpl()),
@@ -447,21 +486,6 @@ pub fn cycle_record(report: &ReconcileReport, budget_bytes: u64, cycle: u64) -> 
                 bytes,
             }
         })
-        .collect();
-    CycleRecord {
-        cycle,
-        unix_ms: trex_obs::unix_ms(),
-        generation: report.generation,
-        budget_bytes,
-        bytes_used: report.bytes_used,
-        lists_materialized: report.lists_materialized as u64,
-        lists_dropped: report.lists_dropped as u64,
-        gate_pause_us: u64::try_from(report.gate_pause.as_micros()).unwrap_or(u64::MAX),
-        wall_us: u64::try_from(report.wall.as_micros()).unwrap_or(u64::MAX),
-        shapes,
-        deltas: report.deltas.clone(),
-        splits: Vec::new(),
-    }
 }
 
 /// Optional observability attachments for the background managers: a
@@ -586,10 +610,13 @@ fn measure_query(
 /// The per-cycle status line the background manager prints when
 /// `SelfManageOptions::log_cycles` is on: what the cycle moved, where the
 /// serving latency distribution sits (p50/p99 end-to-end), and how often
-/// `Auto` had to fall back to ERA for lack of lists.
-fn log_cycle(index: &TrexIndex, profiler: &WorkloadProfiler, report: &ReconcileReport) {
-    let q = index.telemetry().query.query.snapshot();
-    let sm = profiler.counters().snapshot();
+/// `Auto` had to fall back to ERA for lack of lists. Every partition sees
+/// every query, so partition 0's histogram and profiler counters stand for
+/// the system's.
+fn log_cycle(system: &PartitionedSystem, cycle: &PartitionedCycle) {
+    let first = system.part(0);
+    let q = first.index().telemetry().query.query.snapshot();
+    let sm = first.profiler().counters().snapshot();
     let rate = if sm.queries_profiled > 0 {
         100.0 * sm.era_fallbacks as f64 / sm.queries_profiled as f64
     } else {
@@ -599,9 +626,9 @@ fn log_cycle(index: &TrexIndex, profiler: &WorkloadProfiler, report: &ReconcileR
         "self-manage cycle {}: +{}/-{} lists, {} bytes used; query p50 {:.3} ms p99 {:.3} ms \
          over {} queries, era fallback rate {:.1}% ({}/{})",
         sm.cycles,
-        report.lists_materialized,
-        report.lists_dropped,
-        report.bytes_used,
+        cycle.lists_materialized(),
+        cycle.lists_dropped(),
+        cycle.bytes_used(),
         q.percentile(0.50) as f64 / 1e6,
         q.percentile(0.99) as f64 / 1e6,
         q.count(),
@@ -611,123 +638,47 @@ fn log_cycle(index: &TrexIndex, profiler: &WorkloadProfiler, report: &ReconcileR
     );
 }
 
-#[derive(Debug, Default)]
-struct ManagerStatus {
-    last: Option<ReconcileReport>,
-    last_error: Option<String>,
-}
-
 /// A handle to the background self-management thread. Stops (and joins) on
-/// [`SelfManager::stop`] or drop.
-pub struct SelfManager {
-    stop: Arc<AtomicBool>,
-    status: Arc<Mutex<ManagerStatus>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+/// [`stop`](SelfManager::stop) or drop.
+pub type SelfManager = BackgroundWorker<PartitionedCycle>;
 
-impl SelfManager {
+impl BackgroundWorker<PartitionedCycle> {
     /// Starts the background reconcile loop: every `opts.interval`, one
-    /// [`reconcile_once`] against the profiler's current workload.
+    /// [`reconcile_partitioned`] cycle against the profilers' current
+    /// workload — re-splitting the global `opts.budget_bytes` by current
+    /// heat each time, so budget follows the workload as it shifts between
+    /// partitions. Each completed cycle is recorded into `hooks.journal`,
+    /// and `hooks.health`'s `reconciles_in_flight` gauge brackets it.
     ///
-    /// Touches the RPL/ERPL tables once up front so they exist before any
-    /// concurrent serving starts (table creation is a structural store
-    /// write that must not race readers).
+    /// Touches every partition's RPL/ERPL tables once up front so they
+    /// exist before any concurrent serving starts (table creation is a
+    /// structural store write that must not race readers).
     pub fn start(
-        index: Arc<TrexIndex>,
-        profiler: Arc<WorkloadProfiler>,
-        opts: SelfManageOptions,
-    ) -> Result<SelfManager> {
-        SelfManager::start_with(index, profiler, opts, ManagerHooks::none())
-    }
-
-    /// [`SelfManager::start`] with observability hooks: each completed
-    /// cycle is recorded into `hooks.journal`, and `hooks.health`'s
-    /// `reconciles_in_flight` gauge brackets every cycle.
-    pub fn start_with(
-        index: Arc<TrexIndex>,
-        profiler: Arc<WorkloadProfiler>,
+        system: Arc<PartitionedSystem>,
         opts: SelfManageOptions,
         hooks: ManagerHooks,
     ) -> Result<SelfManager> {
-        index.rpls()?;
-        index.erpls()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let status = Arc::new(Mutex::new(ManagerStatus::default()));
-        let handle = {
-            let stop = stop.clone();
-            let status = status.clone();
-            std::thread::Builder::new()
-                .name("trex-selfmanage".into())
-                .spawn(move || {
-                    let mut cache = CostCache::new();
-                    let mut cycle = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        // Sleep in slices so stop() returns promptly even
-                        // with long intervals.
-                        let wake = Instant::now() + opts.interval;
-                        while Instant::now() < wake {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(10).min(opts.interval));
-                        }
-                        cycle += 1;
-                        let _busy = hooks
-                            .health
-                            .as_ref()
-                            .map(|h| InFlight::enter(&h.reconciles_in_flight));
-                        match reconcile_once(&index, &profiler, &opts, &mut cache) {
-                            Ok(report) => {
-                                if opts.log_cycles {
-                                    log_cycle(&index, &profiler, &report);
-                                }
-                                if let Some(journal) = &hooks.journal {
-                                    journal.record(cycle_record(&report, opts.budget_bytes, cycle));
-                                }
-                                let mut s = status.lock();
-                                s.last = Some(report);
-                                s.last_error = None;
-                            }
-                            Err(e) => status.lock().last_error = Some(e.to_string()),
-                        }
-                    }
-                })
-                .map_err(|e| {
-                    TrexError::Unsupported(format!("cannot spawn self-manage thread: {e}"))
-                })?
-        };
-        Ok(SelfManager {
-            stop,
-            status,
-            handle: Some(handle),
-        })
-    }
-
-    /// The most recent cycle's report, if any cycle has completed.
-    pub fn last_report(&self) -> Option<ReconcileReport> {
-        self.status.lock().last.clone()
-    }
-
-    /// The most recent cycle error, if the last cycle failed.
-    pub fn last_error(&self) -> Option<String> {
-        self.status.lock().last_error.clone()
-    }
-
-    /// Stops the background thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        for part in system.parts() {
+            part.index().rpls()?;
+            part.index().erpls()?;
         }
-    }
-}
-
-impl Drop for SelfManager {
-    fn drop(&mut self) {
-        self.shutdown();
+        let mut caches: Vec<CostCache> =
+            (0..system.partitions()).map(|_| CostCache::new()).collect();
+        let mut cycle = 0u64;
+        BackgroundWorker::spawn("trex-selfmanage", opts.interval, move || {
+            cycle += 1;
+            let _busy = hooks
+                .health
+                .as_ref()
+                .map(|h| InFlight::enter(&h.reconciles_in_flight));
+            let report = reconcile_partitioned(&system, &opts, &mut caches, cycle)?;
+            if opts.log_cycles {
+                log_cycle(&system, &report);
+            }
+            if let Some(journal) = &hooks.journal {
+                journal.record(cycle_record(&report, opts.budget_bytes));
+            }
+            Ok(Some(report))
+        })
     }
 }

@@ -2,9 +2,9 @@
 //! machinery — cooperative deadlines, the generation-keyed result cache,
 //! and the wire schema.
 //!
-//! The types here are transport-agnostic: the HTTP front end, the stdin
-//! REPL, and the batch executor all sit on [`QueryService`], which is the
-//! only place caching and deadline policy live. See `DESIGN.md` ("Serving
+//! The types here are transport-agnostic: the HTTP front end and the stdin
+//! REPL both sit on [`QueryService`], which is the only place caching and
+//! deadline policy live. See `DESIGN.md` ("Serving
 //! queries over the wire") for the full picture.
 
 pub mod cache;

@@ -1,8 +1,8 @@
 //! The single public query API: [`QueryRequest`] in, [`QueryResponse`] out.
 //!
-//! Every front door — the HTTP endpoint, the stdin REPL, and the batch
-//! executor — routes through this one pair, so "what does a query accept
-//! and return" has exactly one answer. [`QueryRequest`] subsumes the older
+//! Every front door — the HTTP endpoint and the stdin REPL — routes through
+//! this one pair, so "what does a query accept and return" has exactly one
+//! answer. [`QueryRequest`] subsumes the older
 //! `(nexi, EvalOptions)` call shape (k, strategy, interpretation, trace)
 //! and adds the serving-only knobs (deadline budget); [`QueryResponse`] is
 //! the versioned result envelope, with a stable JSON rendering

@@ -1,8 +1,8 @@
 //! [`QueryService`] — the one `QueryRequest → QueryResponse` handler.
 //!
-//! Every front door (HTTP endpoint, stdin REPL, batch executor) routes
-//! through this type, so caching policy, deadline anchoring, and serve
-//! metrics are decided in exactly one place.
+//! Every front door (HTTP endpoint, stdin REPL) routes through this type,
+//! so caching policy, deadline anchoring, and serve metrics are decided in
+//! exactly one place.
 //!
 //! The cache is keyed by `(normalized query, k, strategy, interpretation,
 //! maintenance generation)`. Lookups use the *current* generation; inserts
@@ -19,58 +19,39 @@ use std::time::Instant;
 
 use trex_obs::{unix_ms, ServeMetrics, TraceRecord};
 
-use crate::engine::{QueryEngine, QueryResult};
+use crate::engine::QueryResult;
 use crate::partition::PartitionedSystem;
 use crate::serve::cache::{normalize_nexi, CacheKey, CachedResult, ResultCache};
 use crate::serve::request::{CacheStatus, QueryRequest, QueryResponse};
 use crate::{Result, TrexError};
 
-/// What the service evaluates against: one engine, or a partitioned
-/// system whose scatter-gather merge already reproduces single-store
-/// answers. The cache and metrics layers above are identical either way —
-/// the only partition-aware decisions are which `evaluate` to call and
-/// which generation keys the cache.
-enum Target<'a> {
-    Engine(QueryEngine<'a>),
-    Partitioned(&'a PartitionedSystem),
-}
-
-/// Executes [`QueryRequest`]s against a [`QueryEngine`], with an optional
-/// generation-keyed [`ResultCache`] and optional [`ServeMetrics`].
+/// Executes [`QueryRequest`]s against a [`PartitionedSystem`] (any
+/// partition count; the scatter-gather merge already reproduces
+/// single-store answers), with an optional generation-keyed
+/// [`ResultCache`] and optional [`ServeMetrics`]. Cache keys use the system
+/// generation (maximum over partitions).
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use trex_core::{QueryEngine, QueryRequest, QueryService, ResultCache};
-/// # fn demo(index: &trex_index::TrexIndex) -> trex_core::Result<()> {
-/// let service = QueryService::new(QueryEngine::new(index))
-///     .with_cache(Arc::new(ResultCache::new(1024)));
+/// use trex_core::{PartitionedSystem, QueryRequest, QueryService, ResultCache};
+/// # fn demo(system: &PartitionedSystem) -> trex_core::Result<()> {
+/// let service = QueryService::new(system).with_cache(Arc::new(ResultCache::new(1024)));
 /// let response = service.execute(&QueryRequest::new("//a//s[about(., xml)]").k(5))?;
 /// assert!(response.answers.len() <= 5);
 /// # Ok(())
 /// # }
 /// ```
 pub struct QueryService<'a> {
-    target: Target<'a>,
+    system: &'a PartitionedSystem,
     cache: Option<Arc<ResultCache>>,
     metrics: Option<Arc<ServeMetrics>>,
 }
 
 impl<'a> QueryService<'a> {
-    /// A service over `engine` with no cache and no metrics.
-    pub fn new(engine: QueryEngine<'a>) -> QueryService<'a> {
+    /// A service over `system` with no cache and no metrics.
+    pub fn new(system: &'a PartitionedSystem) -> QueryService<'a> {
         QueryService {
-            target: Target::Engine(engine),
-            cache: None,
-            metrics: None,
-        }
-    }
-
-    /// A service over a partitioned system: every request scatters to all
-    /// partitions and gathers through the rank-safe merge. Cache keys use
-    /// the system generation (maximum over partitions).
-    pub fn partitioned(system: &'a PartitionedSystem) -> QueryService<'a> {
-        QueryService {
-            target: Target::Partitioned(system),
+            system,
             cache: None,
             metrics: None,
         }
@@ -89,21 +70,12 @@ impl<'a> QueryService<'a> {
         self
     }
 
-    /// Ingests one raw XML document through whatever the service fronts,
-    /// returning the assigned (global) doc id and the generation after the
-    /// ingest — the pair the serving layer reports to the client.
+    /// Ingests one raw XML document, returning the assigned (global) doc id
+    /// and the generation after the ingest — the pair the serving layer
+    /// reports to the client.
     pub fn ingest(&self, xml: &str) -> std::result::Result<(u32, u64), trex_index::IndexError> {
-        match &self.target {
-            Target::Engine(engine) => {
-                let index = engine.index();
-                let doc_id = index.ingest_document(xml)?;
-                Ok((doc_id, index.maintenance().generation()))
-            }
-            Target::Partitioned(system) => {
-                let doc_id = system.ingest_document(xml)?;
-                Ok((doc_id, system.generation()))
-            }
-        }
+        let doc_id = self.system.ingest_document(xml)?;
+        Ok((doc_id, self.system.generation()))
     }
 
     /// The attached cache, if any.
@@ -164,7 +136,7 @@ impl<'a> QueryService<'a> {
             k: req.k,
             strategy: req.strategy,
             interpretation: req.interpretation,
-            generation: self.current_generation(),
+            generation: self.system.generation(),
         };
         if let Some(cached) = cache.get(&key) {
             if let Some(m) = &self.metrics {
@@ -202,19 +174,9 @@ impl<'a> QueryService<'a> {
         Ok(self.respond(result, CacheStatus::Miss, started))
     }
 
-    fn current_generation(&self) -> u64 {
-        match &self.target {
-            Target::Engine(engine) => engine.index().maintenance().generation(),
-            Target::Partitioned(system) => system.generation(),
-        }
-    }
-
     fn evaluate(&self, req: &QueryRequest, started: Instant) -> Result<QueryResult> {
         let opts = req.eval_options_from(started);
-        let result = match &self.target {
-            Target::Engine(engine) => engine.evaluate(&req.nexi, opts),
-            Target::Partitioned(system) => system.evaluate(&req.nexi, opts),
-        }?;
+        let result = self.system.evaluate(&req.nexi, opts)?;
         // File the assembled span tree under the request's trace id so
         // `/v1/trace/<id>` can serve it after the response has gone out.
         if let (Some(ctx), Some(metrics)) = (req.trace_context, &self.metrics) {
@@ -246,36 +208,20 @@ impl<'a> QueryService<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc as StdArc;
-    use trex_index::{IndexBuilder, TrexIndex};
-    use trex_storage::Store;
-    use trex_summary::{AliasMap, SummaryKind};
-    use trex_text::Analyzer;
+    use crate::testing::TestSystem;
 
-    fn build(name: &str) -> (TrexIndex, std::path::PathBuf) {
-        let mut path = std::env::temp_dir();
-        path.push(format!("trex-service-{name}-{}", std::process::id()));
-        let store = Store::create(&path, 128).unwrap();
-        let mut b = IndexBuilder::new(
-            &store,
-            SummaryKind::Incoming,
-            AliasMap::identity(),
-            Analyzer::verbatim(),
-        )
-        .unwrap();
-        for i in 0..8 {
-            b.add_document(&format!("<a><s>cat dog xml w{i}</s><s>bird w{i}</s></a>"))
-                .unwrap();
-        }
-        b.finish().unwrap();
-        (TrexIndex::open(StdArc::new(store)).unwrap(), path)
+    fn build(name: &str) -> TestSystem {
+        let docs: Vec<String> = (0..8)
+            .map(|i| format!("<a><s>cat dog xml w{i}</s><s>bird w{i}</s></a>"))
+            .collect();
+        TestSystem::build(&format!("service-{name}"), 1, &docs)
     }
 
     #[test]
     fn repeat_query_hits_the_cache_with_identical_answers() {
-        let (index, path) = build("hit");
+        let system = build("hit");
         let metrics = Arc::new(ServeMetrics::new());
-        let service = QueryService::new(QueryEngine::new(&index))
+        let service = QueryService::new(&system)
             .with_cache(Arc::new(ResultCache::new(16)))
             .with_metrics(Arc::clone(&metrics));
 
@@ -296,17 +242,16 @@ mod tests {
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.cache_hits, 2);
         assert_eq!(snap.cache_bypass, 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_and_cacheless_requests_bypass() {
-        let (index, path) = build("bypass");
+        let system = build("bypass");
         let metrics = Arc::new(ServeMetrics::new());
 
         // Traced request, cache attached: bypass (and nothing inserted).
         let cache = Arc::new(ResultCache::new(16));
-        let service = QueryService::new(QueryEngine::new(&index))
+        let service = QueryService::new(&system)
             .with_cache(Arc::clone(&cache))
             .with_metrics(Arc::clone(&metrics));
         let traced = QueryRequest::new("//a//s[about(., cat)]").trace(true);
@@ -316,19 +261,17 @@ mod tests {
         assert!(cache.is_empty());
 
         // No cache attached: bypass too.
-        let service = QueryService::new(QueryEngine::new(&index));
+        let service = QueryService::new(&system);
         let plain = QueryRequest::new("//a//s[about(., cat)]");
         assert_eq!(service.execute(&plain).unwrap().cache, CacheStatus::Bypass);
 
         assert_eq!(metrics.counters.snapshot().cache_bypass, 1);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn different_k_or_strategy_are_distinct_entries() {
-        let (index, path) = build("keys");
-        let service =
-            QueryService::new(QueryEngine::new(&index)).with_cache(Arc::new(ResultCache::new(16)));
+        let system = build("keys");
+        let service = QueryService::new(&system).with_cache(Arc::new(ResultCache::new(16)));
         let base = QueryRequest::new("//a//s[about(., cat)]");
         assert_eq!(
             service.execute(&base.clone().k(Some(3))).unwrap().cache,
@@ -342,15 +285,13 @@ mod tests {
             service.execute(&base.k(Some(3))).unwrap().cache,
             CacheStatus::Hit
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn errors_count_into_the_right_buckets() {
-        let (index, path) = build("errors");
+        let system = build("errors");
         let metrics = Arc::new(ServeMetrics::new());
-        let service =
-            QueryService::new(QueryEngine::new(&index)).with_metrics(Arc::clone(&metrics));
+        let service = QueryService::new(&system).with_metrics(Arc::clone(&metrics));
 
         let malformed = QueryRequest::new("//a//s[about(., )]]]");
         assert!(service.execute(&malformed).is_err());
@@ -365,6 +306,5 @@ mod tests {
         assert_eq!(snap.parse_errors, 1);
         assert_eq!(snap.deadline_exceeded, 1);
         assert_eq!(snap.internal_errors, 0);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -59,6 +59,15 @@ pub enum IndexError {
     /// An ingested document uses an element path the frozen structural
     /// summary does not contain (the offending label is attached).
     UnknownPath(String),
+    /// A caller-chosen document id lies below this index's allocation
+    /// watermark: the id is (or may be) already taken, so the ingest was
+    /// refused before anything was logged or staged.
+    StaleDocId {
+        /// The id the caller asked for.
+        doc_id: u32,
+        /// The next id this index would allocate itself.
+        watermark: u32,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -70,6 +79,10 @@ impl fmt::Display for IndexError {
             IndexError::UnknownPath(label) => {
                 write!(f, "element path not in structural summary: <{label}>")
             }
+            IndexError::StaleDocId { doc_id, watermark } => write!(
+                f,
+                "document id {doc_id} is below the allocation watermark {watermark}"
+            ),
         }
     }
 }
@@ -79,7 +92,9 @@ impl std::error::Error for IndexError {
         match self {
             IndexError::Xml(e) => Some(e),
             IndexError::Storage(e) => Some(e),
-            IndexError::DocIdsExhausted | IndexError::UnknownPath(_) => None,
+            IndexError::DocIdsExhausted
+            | IndexError::UnknownPath(_)
+            | IndexError::StaleDocId { .. } => None,
         }
     }
 }
@@ -211,9 +226,10 @@ impl TrexIndex {
     /// watermark then advances past `doc_id` so a later single-store open
     /// of the same file never re-allocates it.
     ///
-    /// The caller is responsible for never reusing an id; ids may arrive
-    /// with gaps (the gap belongs to sibling partitions). Same failure
-    /// modes as [`ingest_document`](TrexIndex::ingest_document), plus
+    /// Ids may arrive with gaps (the gap belongs to sibling partitions) but
+    /// never from below this index's own watermark: such an id is refused
+    /// with [`IndexError::StaleDocId`]. Otherwise the same failure modes as
+    /// [`ingest_document`](TrexIndex::ingest_document), plus
     /// [`IndexError::DocIdsExhausted`] if `doc_id` is the `u32::MAX`
     /// sentinel.
     pub fn ingest_document_with_id(&self, doc_id: u32, xml: &str) -> Result<()> {
@@ -221,6 +237,12 @@ impl TrexIndex {
             return Err(IndexError::DocIdsExhausted);
         }
         let _serial = self.delta.ingest_guard();
+        // An exhausted allocator (`Err`) has handed out every id below the
+        // sentinel, so nothing the caller could pass is fresh.
+        let watermark = self.delta.peek_next_doc_id().unwrap_or(u32::MAX);
+        if doc_id < watermark {
+            return Err(IndexError::StaleDocId { doc_id, watermark });
+        }
         self.ingest_staged(doc_id, xml)
     }
 

@@ -108,7 +108,7 @@ impl ToJson for ListDeltaRecord {
     }
 }
 
-/// One partition's share of the cycle budget (partitioned systems only).
+/// One partition's share of the cycle budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SplitRecord {
     /// Partition ordinal.
@@ -156,7 +156,8 @@ pub struct CycleRecord {
     pub shapes: Vec<ShapeRecord>,
     /// Lists materialized/dropped, with byte deltas.
     pub deltas: Vec<ListDeltaRecord>,
-    /// Per-partition budget splits (empty for single-store systems).
+    /// Per-partition budget splits, one per partition (a single store is
+    /// one partition holding the whole budget).
     pub splits: Vec<SplitRecord>,
 }
 
@@ -399,7 +400,12 @@ mod tests {
                 action: "add".into(),
                 bytes: 256,
             }],
-            splits: Vec::new(),
+            // What a single-store cycle carries: one split, whole budget.
+            splits: vec![SplitRecord {
+                partition: 0,
+                heat: 12.5,
+                budget_bytes: 1 << 20,
+            }],
         }
     }
 
@@ -429,6 +435,18 @@ mod tests {
         assert_eq!(
             last.get("gate_pause_us").and_then(JsonValue::as_u64),
             Some(42)
+        );
+        let Some(JsonValue::Array(splits)) = last.get("splits") else {
+            panic!("splits is not an array");
+        };
+        assert_eq!(splits.len(), 1);
+        assert_eq!(
+            splits[0].get("partition").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            splits[0].get("budget_bytes").and_then(JsonValue::as_u64),
+            last.get("budget_bytes").and_then(JsonValue::as_u64)
         );
     }
 

@@ -18,8 +18,8 @@ use std::process::ExitCode;
 
 use trex::corpus::{CorpusConfig, IeeeGenerator, WikiGenerator};
 use trex::{
-    AdvisorOptions, AliasMap, HttpServerConfig, ListKind, PartitionedTrexSystem, QueryRequest,
-    SelectionMethod, SelfManageOptions, Strategy, TrexConfig, TrexSystem, Workload,
+    Advisor, AdvisorOptions, AliasMap, HttpServerConfig, ListKind, QueryRequest, SelectionMethod,
+    SelfManageOptions, Strategy, TrexConfig, TrexSystem, Workload,
 };
 
 fn main() -> ExitCode {
@@ -97,9 +97,10 @@ background fold (default 1000).
 build --partitions N writes N independent stores (<store>.p0 … .p(N-1)),
 routing documents by doc-id hash but sharing one summary / dictionary /
 statistics catalog, so answers are byte-identical at any partition count.
-serve --partitions N (0 = auto-detect) opens the family and evaluates
-every query on all partitions in parallel behind a rank-safe top-k merge;
---self-manage then splits --budget across partitions by workload heat,
+Every subcommand opens whichever layout is on disk and evaluates each
+query on all partitions in parallel behind a rank-safe top-k merge;
+serve --partitions N (absent or 0 = whatever is on disk) only checks the
+count; --self-manage splits --budget across partitions by workload heat,
 re-split every reconcile cycle.
 ";
 
@@ -120,15 +121,20 @@ fn open(args: &[String]) -> Result<TrexSystem, String> {
     let path = store_arg(args)?;
     let system =
         TrexSystem::open(TrexConfig::new(path)).map_err(|e| format!("cannot open {path}: {e}"))?;
-    if let Some(report) = system.recovery_report() {
+    for (partition, report) in system.recovery_reports() {
+        let which = if system.partitions() > 1 {
+            format!(" (partition {partition})")
+        } else {
+            String::new()
+        };
         if report.completed_checkpoint {
             eprintln!(
-                "recovery: completed interrupted checkpoint ({} pages replayed, {} wal bytes scanned)",
+                "recovery{which}: completed interrupted checkpoint ({} pages replayed, {} wal bytes scanned)",
                 report.replayed_pages, report.wal_bytes_scanned
             );
         } else {
             eprintln!(
-                "recovery: discarded {} uncommitted wal record(s); store is at its last checkpoint",
+                "recovery{which}: discarded {} uncommitted wal record(s); store is at its last checkpoint",
                 report.discarded_records
             );
         }
@@ -138,32 +144,6 @@ fn open(args: &[String]) -> Result<TrexSystem, String> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
-}
-
-/// What `trex build` produced: one store, or a `.p0`, `.p1`, … family.
-enum AnySystem {
-    Single(TrexSystem),
-    Partitioned(PartitionedTrexSystem),
-}
-
-/// Builds either a single store (parallel parse pipeline) or a partitioned
-/// family (single-pass routed build — shared catalog, so answers are
-/// byte-identical across partition counts).
-fn build_any(
-    config: TrexConfig,
-    docs: impl IntoIterator<Item = String> + Send,
-    threads: usize,
-    partitions: usize,
-) -> Result<AnySystem, String> {
-    if partitions > 1 {
-        PartitionedTrexSystem::build(config, partitions, docs)
-            .map(AnySystem::Partitioned)
-            .map_err(|e| e.to_string())
-    } else {
-        TrexSystem::build_parallel(config, docs, threads)
-            .map(AnySystem::Single)
-            .map_err(|e| e.to_string())
-    }
 }
 
 fn build(args: &[String]) -> Result<(), String> {
@@ -182,6 +162,9 @@ fn build(args: &[String]) -> Result<(), String> {
         .map(|v| v.parse().map_err(|_| "--checkpoint-every expects a number"))
         .transpose()?;
     let started = std::time::Instant::now();
+    let mut config = TrexConfig::new(store);
+    config.store_documents = store_docs;
+    config.build_checkpoint_every = checkpoint_every;
 
     let system = if let Some(dir) = flag(args, "--dir") {
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
@@ -197,10 +180,7 @@ fn build(args: &[String]) -> Result<(), String> {
         let docs = paths.into_iter().map(|p| {
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
         });
-        let mut config = TrexConfig::new(store);
-        config.store_documents = store_docs;
-        config.build_checkpoint_every = checkpoint_every;
-        build_any(config, docs, threads, partitions)?
+        TrexSystem::build_parallel(config, partitions, docs, threads)
     } else if let Some(kind) = flag(args, "--synthetic") {
         let docs: usize = flag(args, "--docs")
             .map(|v| v.parse().map_err(|_| "--docs expects a number"))
@@ -213,37 +193,31 @@ fn build(args: &[String]) -> Result<(), String> {
                     docs,
                     ..CorpusConfig::ieee_default()
                 });
-                let mut config = TrexConfig::new(store);
-                config.store_documents = store_docs;
-                config.build_checkpoint_every = checkpoint_every;
-                build_any(config, gen.documents(), threads, partitions)?
+                TrexSystem::build_parallel(config, partitions, gen.documents(), threads)
             }
             "wiki" => {
                 let gen = WikiGenerator::new(CorpusConfig {
                     docs,
                     ..CorpusConfig::wiki_default()
                 });
-                let mut config = TrexConfig::new(store);
                 config.alias = AliasMap::inex_wiki();
-                config.store_documents = store_docs;
-                config.build_checkpoint_every = checkpoint_every;
-                build_any(config, gen.documents(), threads, partitions)?
+                TrexSystem::build_parallel(config, partitions, gen.documents(), threads)
             }
             other => return Err(format!("unknown synthetic collection {other:?}")),
         }
     } else {
         return Err("build needs --dir <xml-dir> or --synthetic ieee|wiki".into());
-    };
+    }
+    .map_err(|e| e.to_string())?;
 
-    // A partitioned build writes the *global* collection statistics to
-    // every partition's catalog (that is what keeps scores identical), so
-    // partition 0 already reports collection-wide counts.
-    let (index, suffix) = match &system {
-        AnySystem::Single(system) => (system.index(), String::new()),
-        AnySystem::Partitioned(system) => (
-            system.system().part(0).index().as_ref(),
-            format!(" across {} partitions", system.partitions()),
-        ),
+    // The build writes the *global* collection statistics to every
+    // partition's catalog (that is what keeps scores identical), so
+    // partition 0 reports collection-wide counts.
+    let index = system.index();
+    let suffix = if system.partitions() > 1 {
+        format!(" across {} partitions", system.partitions())
+    } else {
+        String::new()
     };
     let stats = index.stats();
     eprintln!(
@@ -270,19 +244,24 @@ fn info(args: &[String]) -> Result<(), String> {
         index.summary().kind(),
         index.summary().node_count()
     );
-    println!("store pages      {}", index.store().page_count());
-    let rpls = index.rpls().map_err(|e| e.to_string())?;
-    let erpls = index.erpls().map_err(|e| e.to_string())?;
-    println!(
-        "RPL lists        {} ({} bytes)",
-        rpls.lists().map_err(|e| e.to_string())?.len(),
-        rpls.total_bytes().map_err(|e| e.to_string())?
-    );
-    println!(
-        "ERPL lists       {} ({} bytes)",
-        erpls.lists().map_err(|e| e.to_string())?.len(),
-        erpls.total_bytes().map_err(|e| e.to_string())?
-    );
+    if system.partitions() > 1 {
+        println!("partitions       {}", system.partitions());
+    }
+    // Pages and redundant lists are partition-local: report the totals.
+    let (mut pages, mut rpl_lists, mut rpl_bytes, mut erpl_lists, mut erpl_bytes) = (0, 0, 0, 0, 0);
+    for part in system.system().parts() {
+        let index = part.index();
+        pages += index.store().page_count();
+        let rpls = index.rpls().map_err(|e| e.to_string())?;
+        let erpls = index.erpls().map_err(|e| e.to_string())?;
+        rpl_lists += rpls.lists().map_err(|e| e.to_string())?.len();
+        rpl_bytes += rpls.total_bytes().map_err(|e| e.to_string())?;
+        erpl_lists += erpls.lists().map_err(|e| e.to_string())?.len();
+        erpl_bytes += erpls.total_bytes().map_err(|e| e.to_string())?;
+    }
+    println!("store pages      {pages}");
+    println!("RPL lists        {rpl_lists} ({rpl_bytes} bytes)");
+    println!("ERPL lists       {erpl_lists} ({erpl_bytes} bytes)");
     Ok(())
 }
 
@@ -294,14 +273,7 @@ fn query(args: &[String]) -> Result<(), String> {
     let k: Option<usize> = flag(args, "-k")
         .map(|v| v.parse().map_err(|_| "-k expects a number"))
         .transpose()?;
-    let strategy = match flag(args, "--strategy").unwrap_or("auto") {
-        "auto" => Strategy::Auto,
-        "era" => Strategy::Era,
-        "ta" => Strategy::Ta,
-        "merge" => Strategy::Merge,
-        "race" => Strategy::Race,
-        other => return Err(format!("unknown strategy {other:?}")),
-    };
+    let strategy: Strategy = flag(args, "--strategy").unwrap_or("auto").parse()?;
     let result = system
         .search_with(nexi, k, strategy)
         .map_err(|e| e.to_string())?;
@@ -313,8 +285,6 @@ fn query(args: &[String]) -> Result<(), String> {
             trex::RaceWinner::Ta => "Race (TA won)",
             trex::RaceWinner::Merge => "Race (Merge won)",
         },
-        // `trex query` opens one store; scatter stats only come out of a
-        // partitioned system.
         trex::StrategyStats::Scatter { .. } => "Scatter",
     };
     eprintln!(
@@ -366,10 +336,20 @@ fn explain(args: &[String]) -> Result<(), String> {
     let k: Option<usize> = flag(args, "-k")
         .map(|v| v.parse().map_err(|_| "-k expects a number"))
         .transpose()?;
-    let plan = system
-        .engine()
-        .explain(nexi, trex::EvalOptions::new().k(k))
-        .map_err(|e| e.to_string())?;
+    // Translation and statistics come from the shared catalog (partition 0
+    // speaks for all); which lists exist — and so what `auto` runs — is
+    // each partition's own business.
+    let plans = system
+        .system()
+        .parts()
+        .iter()
+        .map(|part| {
+            part.engine()
+                .explain(nexi, trex::EvalOptions::new().k(k))
+                .map_err(|e| e.to_string())
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let plan = &plans[0];
     println!("query: {nexi}");
     println!("\nextents ({} sids):", plan.extents.len());
     for (sid, xpath, size) in &plan.extents {
@@ -382,9 +362,14 @@ fn explain(args: &[String]) -> Result<(), String> {
     if !plan.translation.unknown_terms.is_empty() {
         println!("\nnot in collection: {:?}", plan.translation.unknown_terms);
     }
-    println!("\nRPLs materialised:  {}", plan.rpls_available);
-    println!("ERPLs materialised: {}", plan.erpls_available);
-    println!("auto would run:     {:?}", plan.chosen);
+    for (i, plan) in plans.iter().enumerate() {
+        if plans.len() > 1 {
+            println!("\npartition {i}:");
+        }
+        println!("\nRPLs materialised:  {}", plan.rpls_available);
+        println!("ERPLs materialised: {}", plan.erpls_available);
+        println!("auto would run:     {:?}", plan.chosen);
+    }
     Ok(())
 }
 
@@ -445,27 +430,35 @@ fn advise(args: &[String]) -> Result<(), String> {
     }
     let workload = Workload::from_weights(entries).map_err(|e| e.to_string())?;
     eprintln!("profiling {} queries…", workload.len());
-    let report = system
-        .advisor()
-        .apply(
-            &workload,
-            AdvisorOptions {
-                budget_bytes: budget,
-                method,
-                measure_runs: 3,
-            },
-        )
-        .map_err(|e| e.to_string())?;
-    for (wq, choice) in workload.queries().iter().zip(&report.selection.choices) {
+    // The offline advisor has no profiler heat to split by: every partition
+    // gets an equal share of the budget.
+    let parts = system.system().parts();
+    let budget = budget / parts.len() as u64;
+    for (i, part) in parts.iter().enumerate() {
+        let report = Advisor::new(part.index())
+            .apply(
+                &workload,
+                AdvisorOptions {
+                    budget_bytes: budget,
+                    method,
+                    measure_runs: 3,
+                },
+            )
+            .map_err(|e| e.to_string())?;
+        if parts.len() > 1 {
+            println!("partition {i}:");
+        }
+        for (wq, choice) in workload.queries().iter().zip(&report.selection.choices) {
+            println!(
+                "{:?}  f={:.3} k={}  {}",
+                choice, wq.frequency, wq.k, wq.nexi
+            );
+        }
         println!(
-            "{:?}  f={:.3} k={}  {}",
-            choice, wq.frequency, wq.k, wq.nexi
+            "kept {} bytes (budget {budget}), dropped {} lists, expected saving {:.6}s per workload execution",
+            report.bytes_used, report.lists_dropped, report.expected_saving
         );
     }
-    println!(
-        "kept {} bytes (budget {budget}), dropped {} lists, expected saving {:.6}s per workload execution",
-        report.bytes_used, report.lists_dropped, report.expected_saving
-    );
     Ok(())
 }
 
@@ -519,249 +512,22 @@ fn stats(args: &[String]) -> Result<(), String> {
 /// optionally with the query-serving HTTP front end (`--listen`), and
 /// optionally with a scrape-only metrics endpoint (`--metrics-addr`).
 fn serve(args: &[String]) -> Result<(), String> {
+    let system = open(args)?;
     if let Some(n) = flag(args, "--partitions") {
         let n: usize = n.parse().map_err(|_| "--partitions expects a number")?;
-        return serve_partitioned(args, n);
-    }
-    let system = open(args)?;
-    let k: Option<usize> = flag(args, "-k")
-        .map(|v| v.parse().map_err(|_| "-k expects a number"))
-        .transpose()?;
-    let k = k.or(Some(10));
-
-    if let Some(ms) = flag(args, "--slow-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "--slow-ms expects milliseconds")?;
-        system
-            .index()
-            .telemetry()
-            .slow
-            .set_threshold(Some(std::time::Duration::from_millis(ms)));
-    }
-
-    let metrics = match flag(args, "--metrics-addr") {
-        Some(addr) => {
-            let server = trex::MetricsServer::start(addr, system.metrics())
-                .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
-            eprintln!("metrics: listening on {}", server.addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    let mut http_config = HttpServerConfig::default();
-    if let Some(n) = flag(args, "--workers") {
-        http_config.workers = n.parse().map_err(|_| "--workers expects a number")?;
-    }
-    if let Some(n) = flag(args, "--queue-depth") {
-        http_config.queue_depth = n.parse().map_err(|_| "--queue-depth expects a number")?;
-    }
-    if let Some(ms) = flag(args, "--deadline-ms") {
-        http_config.default_deadline_ms = Some(
-            ms.parse()
-                .map_err(|_| "--deadline-ms expects milliseconds")?,
-        );
-    }
-    http_config.cache = !has_flag(args, "--no-cache");
-    let http = match flag(args, "--listen") {
-        Some(addr) => {
-            let server = system
-                .serve_http(addr, http_config.clone())
-                .map_err(|e| format!("cannot bind http endpoint {addr}: {e}"))?;
-            eprintln!(
-                "http: serving on {} ({} workers, queue depth {}, cache {})",
-                server.addr(),
-                http_config.workers.max(1),
-                http_config.queue_depth,
-                if http_config.cache { "on" } else { "off" },
-            );
-            Some(server)
-        }
-        None => None,
-    };
-
-    // The background fold thread keeps live-ingested documents from
-    // accumulating in memory: past the threshold the delta index is folded
-    // into the B+tree tables. Idle cost is two atomic loads per poll.
-    let fold_docs: usize = flag(args, "--fold-docs")
-        .map(|v| v.parse().map_err(|_| "--fold-docs expects a number"))
-        .transpose()?
-        .unwrap_or(1000);
-    let folder = system
-        .start_fold_manager(trex::FoldOptions::new().max_docs(fold_docs).log_folds(true))
-        .map_err(|e| e.to_string())?;
-
-    let manager = if has_flag(args, "--self-manage") {
-        let budget: u64 = flag(args, "--budget")
-            .ok_or("--self-manage needs --budget <bytes>")?
-            .parse()
-            .map_err(|_| "--budget expects bytes")?;
-        let interval_ms: u64 = flag(args, "--interval-ms")
-            .map(|v| v.parse().map_err(|_| "--interval-ms expects a number"))
-            .transpose()?
-            .unwrap_or(1000);
-        let opts = SelfManageOptions::new(budget)
-            .interval(std::time::Duration::from_millis(interval_ms))
-            .log_cycles(true);
-        let manager = system.start_self_manager(opts).map_err(|e| e.to_string())?;
-        eprintln!("self-manager running: budget {budget} bytes, reconcile every {interval_ms} ms");
-        Some(manager)
-    } else {
-        None
-    };
-
-    eprintln!("serving: one NEXI query per line (or `stats` / `slow` / `advisor`), EOF to exit");
-    // The REPL answers through the same QueryService as the HTTP front end
-    // (shared cache, shared serve metrics) — one handler, two transports.
-    let service = if http_config.cache {
-        system.service()
-    } else {
-        trex::QueryService::new(system.engine()).with_metrics(system.serve_metrics().clone())
-    };
-    let registry = system.metrics();
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        let nexi = line.trim();
-        if nexi.is_empty() || nexi.starts_with('#') {
-            continue;
-        }
-        if nexi == "stats" {
-            println!("{}", registry.render_json());
-            continue;
-        }
-        if nexi == "slow" {
-            println!("{}", registry.render_slow_json());
-            continue;
-        }
-        if nexi == "advisor" {
-            println!("{}", system.advisor_journal().history_json());
-            continue;
-        }
-        if let Some(path) = nexi.strip_prefix("ingest ") {
-            let path = path.trim();
-            match std::fs::read_to_string(path) {
-                Ok(xml) => match system.ingest_document(&xml) {
-                    Ok(doc_id) => eprintln!(
-                        "ingested {path} as doc {doc_id} ({} doc(s) in delta, folds at {fold_docs})",
-                        system.index().delta().doc_count()
-                    ),
-                    Err(e) => eprintln!("error: ingest {path}: {e}"),
-                },
-                Err(e) => eprintln!("error: cannot read {path}: {e}"),
-            }
-            continue;
-        }
-        if nexi == "fold" {
-            match system.fold_once() {
-                Ok(Some(report)) => eprintln!(
-                    "folded {} doc(s) ({} new term(s), {} list(s) refreshed) in {:.1} ms, generation {}",
-                    report.docs_folded,
-                    report.new_terms,
-                    report.lists_refreshed,
-                    report.wall.as_secs_f64() * 1e3,
-                    report.generation,
-                ),
-                Ok(None) => eprintln!("delta is empty; nothing to fold"),
-                Err(e) => eprintln!("error: fold: {e}"),
-            }
-            continue;
-        }
-        let mut request = QueryRequest::new(nexi).k(k);
-        if let Some(ms) = http_config.default_deadline_ms {
-            request = request.deadline_ms(ms);
-        }
-        match service.execute(&request) {
-            Ok(response) => {
-                for (rank, a) in response.answers.iter().enumerate() {
-                    println!(
-                        "{:>4}. doc {:>6}  span [{}, {}]  sid {:>5}  score {:.4}",
-                        rank + 1,
-                        a.element.doc,
-                        a.element.start(),
-                        a.element.end,
-                        a.sid,
-                        a.score
-                    );
-                }
-                let counters = system.profiler().counters();
-                let latency = system.index().telemetry().query.query.snapshot();
-                let profiled = counters.queries_profiled.get();
-                let fallbacks = counters.era_fallbacks.get();
-                let fallback_rate = if profiled > 0 {
-                    100.0 * fallbacks as f64 / profiled as f64
-                } else {
-                    0.0
-                };
-                let mut status = format!(
-                    "{} answers in {:.3} ms ({}, cache {}); \
-                     p50 {:.3} ms p99 {:.3} ms over {} queries; \
-                     profiled {}, era fallback rate {:.1}% ({fallbacks})",
-                    response.total_answers,
-                    response.server_time.as_secs_f64() * 1e3,
-                    response.strategy,
-                    response.cache.as_str(),
-                    latency.percentile(0.50) as f64 / 1e6,
-                    latency.percentile(0.99) as f64 / 1e6,
-                    latency.count(),
-                    profiled,
-                    fallback_rate,
-                );
-                if let Some(manager) = &manager {
-                    match manager.last_report() {
-                        Some(report) => status.push_str(&format!(
-                            "; self-manage: {} cycle(s), {} bytes kept, +{} / -{} lists last cycle",
-                            counters.cycles.get(),
-                            report.bytes_used,
-                            report.lists_materialized,
-                            report.lists_dropped,
-                        )),
-                        None => status.push_str("; self-manage: no reconcile cycle yet"),
-                    }
-                    if let Some(err) = manager.last_error() {
-                        status.push_str(&format!("; last reconcile error: {err}"));
-                    }
-                }
-                eprintln!("{status}");
-            }
-            Err(e) => eprintln!("error: {e}"),
+        if n != 0 && n != system.partitions() {
+            return Err(format!(
+                "--partitions {n} does not match the {} partition store(s) on disk \
+                 (pass --partitions {}, or 0 to auto-detect)",
+                system.partitions(),
+                system.partitions()
+            ));
         }
     }
-    if let Some(http) = http {
-        http.stop();
+    let partitions = system.partitions();
+    if partitions > 1 {
+        eprintln!("opened {} with {partitions} partitions", store_arg(args)?);
     }
-    if let Some(manager) = manager {
-        manager.stop();
-    }
-    // Unfolded delta documents are WAL-durable; stopping without a final
-    // fold just means the next open replays them into a fresh delta.
-    folder.stop();
-    if let Some(metrics) = metrics {
-        metrics.stop();
-    }
-    Ok(())
-}
-
-/// `trex serve --partitions N`: the same REPL + HTTP front end over a
-/// partitioned store family (`<store>.p0`, `.p1`, …). Every query scatters
-/// to all partitions and gathers through the rank-safe merge; `--self-manage`
-/// runs the partitioned reconciler, which re-splits the byte budget across
-/// partitions by profiler heat every cycle.
-fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
-    let path = store_arg(args)?;
-    let detected = PartitionedTrexSystem::detect_partitions(std::path::Path::new(path));
-    if detected == 0 {
-        return Err(format!(
-            "no partitioned store family at {path} (build one with `trex build {path} --partitions N …`)"
-        ));
-    }
-    if partitions != 0 && partitions != detected {
-        return Err(format!(
-            "--partitions {partitions} does not match the {detected} partition store(s) on disk \
-             (pass --partitions {detected}, or 0 to auto-detect)"
-        ));
-    }
-    let system = PartitionedTrexSystem::open(TrexConfig::new(path)).map_err(|e| e.to_string())?;
-    eprintln!("opened {path} with {} partitions", system.partitions());
     let k: Option<usize> = flag(args, "-k")
         .map(|v| v.parse().map_err(|_| "-k expects a number"))
         .transpose()?;
@@ -818,23 +584,16 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
         None => None,
     };
 
-    // One background fold thread per partition: each watches only its own
-    // delta, so routed live ingest folds where the documents landed.
+    // The background fold worker keeps live-ingested documents from
+    // accumulating in memory: past the threshold a partition's delta index
+    // is folded into its B+tree tables. Idle cost is two atomic loads per
+    // partition per poll.
     let fold_docs: usize = flag(args, "--fold-docs")
         .map(|v| v.parse().map_err(|_| "--fold-docs expects a number"))
         .transpose()?
         .unwrap_or(1000);
-    let folders: Vec<trex::FoldManager> = system
-        .system()
-        .parts()
-        .iter()
-        .map(|part| {
-            trex::FoldManager::start(
-                part.index().clone(),
-                trex::FoldOptions::new().max_docs(fold_docs).log_folds(true),
-            )
-        })
-        .collect::<Result<_, _>>()
+    let folder = system
+        .start_fold_manager(trex::FoldOptions::new().max_docs(fold_docs).log_folds(true))
         .map_err(|e| e.to_string())?;
 
     let manager = if has_flag(args, "--self-manage") {
@@ -850,21 +609,19 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
             .interval(std::time::Duration::from_millis(interval_ms))
             .log_cycles(true);
         let manager = system.start_self_manager(opts).map_err(|e| e.to_string())?;
-        eprintln!(
-            "partitioned self-manager running: {budget} bytes split across {} partitions by heat, reconcile every {interval_ms} ms",
-            system.partitions()
-        );
+        eprintln!("self-manager running: budget {budget} bytes, reconcile every {interval_ms} ms");
         Some(manager)
     } else {
         None
     };
 
     eprintln!("serving: one NEXI query per line (or `stats` / `slow` / `advisor`), EOF to exit");
+    // The REPL answers through the same QueryService as the HTTP front end
+    // (shared cache, shared serve metrics) — one handler, two transports.
     let service = if http_config.cache {
         system.service()
     } else {
-        trex::QueryService::partitioned(system.system())
-            .with_metrics(system.serve_metrics().clone())
+        trex::QueryService::new(system.system()).with_metrics(system.serve_metrics().clone())
     };
     let registry = system.metrics();
     let stdin = std::io::stdin();
@@ -891,8 +648,11 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
             match std::fs::read_to_string(path) {
                 Ok(xml) => match system.ingest_document(&xml) {
                     Ok(doc_id) => {
-                        let home = trex::partition_of(doc_id, system.partitions());
-                        eprintln!("ingested {path} as doc {doc_id} into partition {home}")
+                        let home = system.system().part(trex::partition_of(doc_id, partitions));
+                        eprintln!(
+                            "ingested {path} as doc {doc_id} ({} doc(s) in delta, folds at {fold_docs})",
+                            home.index().delta().doc_count()
+                        )
                     }
                     Err(e) => eprintln!("error: ingest {path}: {e}"),
                 },
@@ -902,22 +662,15 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
         }
         if nexi == "fold" {
             match system.fold_once() {
-                Ok(reports) => {
-                    let folded: usize = reports
-                        .iter()
-                        .flatten()
-                        .map(|report| report.docs_folded)
-                        .sum();
-                    if folded == 0 {
-                        eprintln!("every partition delta is empty; nothing to fold");
-                    } else {
-                        eprintln!(
-                            "folded {folded} doc(s) across {} partition(s), generation {}",
-                            reports.iter().flatten().count(),
-                            system.system().generation(),
-                        );
-                    }
-                }
+                Ok(Some(report)) => eprintln!(
+                    "folded {} doc(s) ({} new term(s), {} list(s) refreshed) in {:.1} ms, generation {}",
+                    report.docs_folded,
+                    report.new_terms,
+                    report.lists_refreshed,
+                    report.wall.as_secs_f64() * 1e3,
+                    report.generation,
+                ),
+                Ok(None) => eprintln!("delta is empty; nothing to fold"),
                 Err(e) => eprintln!("error: fold: {e}"),
             }
             continue;
@@ -939,27 +692,49 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
                         a.score
                     );
                 }
+                // Every partition sees every query, so partition 0's
+                // profiler and latency histogram stand for the system's.
+                let counters = system.profiler().counters();
+                let latency = system.index().telemetry().query.query.snapshot();
+                let profiled = counters.queries_profiled.get();
+                let fallbacks = counters.era_fallbacks.get();
+                let fallback_rate = if profiled > 0 {
+                    100.0 * fallbacks as f64 / profiled as f64
+                } else {
+                    0.0
+                };
                 let mut status = format!(
-                    "{} answers in {:.3} ms ({}, cache {}) over {} partitions",
+                    "{} answers in {:.3} ms ({}, cache {}); \
+                     p50 {:.3} ms p99 {:.3} ms over {} queries; \
+                     profiled {}, era fallback rate {:.1}% ({fallbacks})",
                     response.total_answers,
                     response.server_time.as_secs_f64() * 1e3,
                     response.strategy,
                     response.cache.as_str(),
-                    system.partitions(),
+                    latency.percentile(0.50) as f64 / 1e6,
+                    latency.percentile(0.99) as f64 / 1e6,
+                    latency.count(),
+                    profiled,
+                    fallback_rate,
                 );
                 if let Some(manager) = &manager {
-                    match manager.last_cycle() {
+                    match manager.last_report() {
                         Some(cycle) => {
-                            let splits: Vec<String> = cycle
-                                .budgets
-                                .iter()
-                                .map(|b| format!("p{}:{}", b.partition, b.budget_bytes))
-                                .collect();
                             status.push_str(&format!(
-                                "; self-manage cycle {}: budget split {}",
-                                cycle.cycle,
-                                splits.join(" ")
+                                "; self-manage: {} cycle(s), {} bytes kept, +{} / -{} lists last cycle",
+                                counters.cycles.get(),
+                                cycle.bytes_used(),
+                                cycle.lists_materialized(),
+                                cycle.lists_dropped(),
                             ));
+                            if partitions > 1 {
+                                let splits: Vec<String> = cycle
+                                    .budgets
+                                    .iter()
+                                    .map(|b| format!("p{}:{}", b.partition, b.budget_bytes))
+                                    .collect();
+                                status.push_str(&format!(", budget split {}", splits.join(" ")));
+                            }
                         }
                         None => status.push_str("; self-manage: no reconcile cycle yet"),
                     }
@@ -978,9 +753,9 @@ fn serve_partitioned(args: &[String], partitions: usize) -> Result<(), String> {
     if let Some(manager) = manager {
         manager.stop();
     }
-    for folder in folders {
-        folder.stop();
-    }
+    // Unfolded delta documents are WAL-durable; stopping without a final
+    // fold just means the next open replays them into a fresh delta.
+    folder.stop();
     if let Some(metrics) = metrics {
         metrics.stop();
     }

@@ -4,7 +4,7 @@
 //! scrape endpoint (kept for tooling that only wants metrics).
 //! [`HttpServer`] is the query-serving front end: a versioned surface
 //! (`/v1/*`, with unversioned aliases) answering queries through the same
-//! [`QueryService`] the REPL and the batch executor use.
+//! [`QueryService`] the REPL uses.
 //!
 //! | route | method | body |
 //! |---|---|---|
@@ -60,13 +60,9 @@ use std::time::{Duration, Instant};
 
 use trex_core::obs::{parse_traceparent, MetricsRegistry, ServeMetrics, TraceContext};
 use trex_core::serve::error_body;
-use trex_core::{
-    parse_query_request, PartitionedSystem, QueryEngine, QueryService, ResultCache, TrexError,
-    WorkloadProfiler,
-};
-use trex_index::TrexIndex;
+use trex_core::{parse_query_request, QueryService, TrexError};
 
-use crate::{PartitionedTrexSystem, TrexSystem};
+use crate::TrexSystem;
 
 /// The background metrics endpoint. Dropping (or [`stop`]ping) the handle
 /// shuts the listener thread down.
@@ -305,64 +301,24 @@ pub struct HttpServer {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// What the worker threads serve: one single-store engine, or a
-/// partitioned system whose scatter-gather merge sits below the shared
-/// [`QueryService`]. The HTTP surface above (admission control, deadlines,
-/// cache, metrics) is identical either way.
-enum WorkerTarget {
-    Single(Arc<TrexIndex>, Arc<WorkloadProfiler>),
-    Partitioned(Arc<PartitionedSystem>),
-}
-
 impl HttpServer {
     /// Binds `addr` and starts the acceptor plus `config.workers` worker
-    /// threads serving `system`'s index.
+    /// threads answering through a [`QueryService`] over `system`: queries
+    /// scatter to every partition and gather through the rank-safe merge
+    /// (one partition evaluates directly), `/ingest` routes documents to
+    /// their home partition by global doc-id hash.
     pub fn start(
         addr: &str,
         system: &TrexSystem,
         config: HttpServerConfig,
     ) -> std::io::Result<HttpServer> {
-        HttpServer::start_inner(
-            addr,
-            WorkerTarget::Single(system.index.clone(), system.profiler.clone()),
-            config.cache.then(|| system.result_cache().clone()),
-            system.serve_metrics().clone(),
-            system.metrics(),
-            config,
-        )
-    }
-
-    /// Like [`HttpServer::start`], over a partitioned system: every worker
-    /// answers through `QueryService::partitioned`, so each query scatters
-    /// to all partitions and gathers through the rank-safe merge; `/ingest`
-    /// routes documents to their home partition by global doc-id hash.
-    pub fn start_partitioned(
-        addr: &str,
-        system: &PartitionedTrexSystem,
-        config: HttpServerConfig,
-    ) -> std::io::Result<HttpServer> {
-        HttpServer::start_inner(
-            addr,
-            WorkerTarget::Partitioned(system.system().clone()),
-            config.cache.then(|| system.result_cache().clone()),
-            system.serve_metrics().clone(),
-            system.metrics(),
-            config,
-        )
-    }
-
-    fn start_inner(
-        addr: &str,
-        target: WorkerTarget,
-        cache: Option<Arc<ResultCache>>,
-        serve: Arc<ServeMetrics>,
-        registry: MetricsRegistry,
-        config: HttpServerConfig,
-    ) -> std::io::Result<HttpServer> {
+        let target = system.system().clone();
+        let cache = config.cache.then(|| system.result_cache().clone());
+        let serve = system.serve_metrics().clone();
+        let registry = system.metrics();
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let target = Arc::new(target);
 
         let workers_n = config.workers.max(1);
         let (tx, rx) = crossbeam::channel::bounded::<(TcpStream, Instant)>(config.queue_depth);
@@ -379,13 +335,7 @@ impl HttpServer {
                 std::thread::Builder::new()
                     .name(format!("trex-http-{i}"))
                     .spawn(move || {
-                        let mut service = match target.as_ref() {
-                            WorkerTarget::Single(index, profiler) => {
-                                QueryService::new(QueryEngine::new(index).with_profiler(profiler))
-                            }
-                            WorkerTarget::Partitioned(system) => QueryService::partitioned(system),
-                        }
-                        .with_metrics(serve.clone());
+                        let mut service = QueryService::new(&target).with_metrics(serve.clone());
                         if let Some(cache) = &cache {
                             service = service.with_cache(cache.clone());
                         }

@@ -20,8 +20,14 @@
 # The release-mode partition determinism storm (paper queries, crafted
 # k-boundary score ties, concurrent ingest + reconcile) runs with the
 # other release suites, as does the tracing/health/advisor-journal
-# observability suite. check_bench_headers.sh closes the run by asserting
-# every BENCH_*.json export shares one schema_version.
+# observability suite. The macro-benchmark (benchmark/, a cargo package of
+# its own that tier-1 never builds) is held to the current API: its unit
+# tests run, then the three workloads that cross the serving, ingest and
+# scatter paths run briefly and must report correct answers (one second
+# each, except ingest_mixed: its own gate wants two folds of 200 documents,
+# which at ~150 acks/s takes four).
+# check_bench_headers.sh closes the run by asserting every BENCH_*.json
+# export shares one schema_version.
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,6 +64,15 @@ cargo test --release -p trex --test tracing_observability
 
 echo "== cargo test --release --test blocks_roundtrip =="
 cargo test --release -p trex-index --test blocks_roundtrip
+
+echo "== macro-benchmark unit tests =="
+CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+for run in "http_zipf 1" "ingest_mixed 4" "partition_scatter 1"; do
+    read -r workload seconds <<<"$run"
+    echo "== benchmark/run.sh --workload $workload --seconds $seconds =="
+    bash benchmark/run.sh --workload "$workload" --seconds "$seconds" | tail -n 1 | grep -q '"correct": *true'
+done
 
 echo "== cargo bench --bench storage (exports BENCH_wal.json) =="
 cargo bench -p trex-bench --bench storage

@@ -272,3 +272,67 @@ fn stats_subcommand_renders_json_and_prometheus() {
     );
     std::fs::remove_file(&store).ok();
 }
+
+/// CLI parity across layouts: a family built with `--partitions 2` answers
+/// `trex query` with the same lines as the single-store build, and the other
+/// read-side subcommands open it too.
+#[test]
+fn partitioned_family_answers_like_the_single_store() {
+    let single = temp("parity-single");
+    let family = temp("parity-family");
+    for (store, extra) in [(&single, &[][..]), (&family, &["--partitions", "2"][..])] {
+        let mut args = vec![
+            "build",
+            store,
+            "--synthetic",
+            "ieee",
+            "--docs",
+            "40",
+            "--store-docs",
+        ];
+        args.extend_from_slice(extra);
+        let (ok, _, err) = run(&args);
+        assert!(ok, "build failed: {err}");
+    }
+    assert!(
+        !std::path::Path::new(&family).exists(),
+        "family has no base file"
+    );
+    assert!(std::path::Path::new(&format!("{family}.p1")).exists());
+
+    let query = "//article//sec[about(., xml query evaluation)]";
+    for strategy in ["auto", "era"] {
+        let args = ["-k", "7", "--strategy", strategy, "--snippets"];
+        let (ok, want, err) = run(&[&["query", &single, query], &args[..]].concat());
+        assert!(ok, "{err}");
+        let (ok, got, err) = run(&[&["query", &family, query], &args[..]].concat());
+        assert!(ok, "{err}");
+        assert!(want.contains("score"), "{want}");
+        assert_eq!(got, want, "strategy {strategy}");
+    }
+
+    let (ok, out, err) = run(&["info", &family]);
+    assert!(ok, "{err}");
+    assert!(out.contains("documents        40"), "{out}");
+    assert!(out.contains("partitions       2"), "{out}");
+    let (ok, out, err) = run(&["explain", &family, query]);
+    assert!(ok, "{err}");
+    assert!(out.contains("partition 1:"), "{out}");
+    let (ok, _, err) = run(&["materialize", &family, query]);
+    assert!(ok, "{err}");
+    let (ok, _, err) = run(&["query", &family, query, "--strategy", "ta"]);
+    assert!(ok, "{err}");
+    let (ok, out, err) = run(&["stats", &family]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("{\"counters\":"), "{out}");
+
+    // `serve --partitions` is only a check against what is on disk.
+    let (ok, _, err) = run(&["serve", &family, "--partitions", "3"]);
+    assert!(!ok);
+    assert!(err.contains("does not match the 2 partition"), "{err}");
+
+    let _ = std::fs::remove_file(&single);
+    for i in 0..2 {
+        let _ = std::fs::remove_file(format!("{family}.p{i}"));
+    }
+}

@@ -10,9 +10,7 @@
 //! ordering exactly.
 
 use trex::corpus::{Collection, CorpusConfig, IeeeGenerator, WikiGenerator, PAPER_QUERIES};
-use trex::{
-    AliasMap, Answer, PartitionedTrexSystem, SelfManageOptions, Strategy, TrexConfig, TrexSystem,
-};
+use trex::{AliasMap, Answer, SelfManageOptions, Strategy, StrategyStats, TrexConfig, TrexSystem};
 
 fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("trex-part-{name}-{}.db", std::process::id()))
@@ -61,8 +59,11 @@ fn assert_identical(context: &str, baseline: &[Answer], partitioned: &[Answer]) 
 }
 
 /// The paper's seven queries, each against its own collection, at
-/// partition counts 1, 2 and 4: answers must be byte-identical to the
-/// single-store build, for several k values including `None` (everything).
+/// partition counts 1, 2 and 4 — plus a one-member `.p0` family as the
+/// parent commit wrote them: answers must be byte-identical to the
+/// single-store build, for several k values including `None` (everything),
+/// and one partition must report the strategy's own stats, never a
+/// one-element scatter.
 #[test]
 fn paper_queries_are_byte_identical_across_partition_counts() {
     for (collection, docs, alias) in [
@@ -75,13 +76,22 @@ fn paper_queries_are_byte_identical_across_partition_counts() {
         config.alias = alias;
         let single = TrexSystem::build(config.clone(), docs.iter().cloned()).unwrap();
 
-        for partitions in [1usize, 2, 4] {
+        // `legacy_family`: the N=1 build's file is moved to `.p0` and found
+        // again by layout detection.
+        for (partitions, legacy_family) in [(1usize, false), (1, true), (2, false), (4, false)] {
             let pbase = temp(&format!("paper-{collection:?}-n{partitions}"));
             cleanup(&pbase);
             let mut pconfig = config.clone();
             pconfig.store_path = pbase.clone();
-            let system =
-                PartitionedTrexSystem::build(pconfig, partitions, docs.iter().cloned()).unwrap();
+            let mut system =
+                TrexSystem::build_partitioned(pconfig.clone(), partitions, docs.iter().cloned())
+                    .unwrap();
+            assert_eq!(pbase.is_file(), partitions == 1, "N=1 lives at store_path");
+            if legacy_family {
+                drop(system);
+                std::fs::rename(&pbase, trex::partition_store_path(&pbase, 0)).unwrap();
+                system = TrexSystem::open(pconfig).unwrap();
+            }
             assert_eq!(system.partitions(), partitions);
 
             for query in PAPER_QUERIES.iter().filter(|q| q.collection == collection) {
@@ -96,6 +106,12 @@ fn paper_queries_are_byte_identical_across_partition_counts() {
                     assert_eq!(
                         want.total_answers, got.total_answers,
                         "{context}: total_answers"
+                    );
+                    assert_eq!(
+                        matches!(got.stats, StrategyStats::Scatter { .. }),
+                        partitions > 1,
+                        "{context}: {}",
+                        got.stats.name()
                     );
                 }
             }
@@ -132,9 +148,12 @@ fn score_ties_at_the_k_boundary_merge_deterministically() {
     for partitions in [1usize, 2, 4] {
         let pbase = temp(&format!("ties-n{partitions}"));
         cleanup(&pbase);
-        let system =
-            PartitionedTrexSystem::build(TrexConfig::new(&pbase), partitions, docs.iter().cloned())
-                .unwrap();
+        let system = TrexSystem::build_partitioned(
+            TrexConfig::new(&pbase),
+            partitions,
+            docs.iter().cloned(),
+        )
+        .unwrap();
         // k values that cut before, inside (several depths) and after the
         // tie stratum.
         for k in [1, 2, 4, 9, 17, 30, 33, 36] {
@@ -193,7 +212,7 @@ fn concurrent_ingest_and_reconcile_preserve_identity() {
     let pbase = temp("live-part");
     cleanup(&pbase);
     let system =
-        PartitionedTrexSystem::build(TrexConfig::new(&pbase), 4, built.iter().cloned()).unwrap();
+        TrexSystem::build_partitioned(TrexConfig::new(&pbase), 4, built.iter().cloned()).unwrap();
 
     // Reconcile keeps running throughout: a 10ms interval guarantees
     // several budget re-splits while we ingest and query.
@@ -246,8 +265,11 @@ fn concurrent_ingest_and_reconcile_preserve_identity() {
 
     // And after folding the deltas into the on-disk tables.
     single.fold_once().unwrap();
-    let folded: usize = system.fold_once().unwrap().iter().flatten().count();
-    assert!(folded > 0, "routed ingest left deltas to fold somewhere");
+    let folded = system
+        .fold_once()
+        .unwrap()
+        .expect("routed ingest left deltas");
+    assert_eq!(folded.docs_folded, live.len(), "every delta folds");
     for nexi in &queries {
         let want = single.search(nexi, Some(20)).unwrap();
         let got = system.search(nexi, Some(20)).unwrap();
@@ -267,22 +289,69 @@ fn reopen_detects_partitions_and_preserves_answers() {
     cleanup(&base);
     let want: Vec<Answer> = {
         let system =
-            PartitionedTrexSystem::build(TrexConfig::new(&base), 3, docs.iter().cloned()).unwrap();
+            TrexSystem::build_partitioned(TrexConfig::new(&base), 3, docs.iter().cloned()).unwrap();
         system
             .search("//article//sec[about(., xml query evaluation)]", Some(10))
             .unwrap()
             .answers
     };
-    assert_eq!(
-        PartitionedTrexSystem::detect_partitions(&base),
-        3,
-        "three sibling stores on disk"
+    assert!(
+        trex::partition_store_path(&base, 2).is_file() && !base.exists(),
+        "three sibling stores on disk, no base file"
     );
-    let system = PartitionedTrexSystem::open(TrexConfig::new(&base)).unwrap();
+    let system = TrexSystem::open(TrexConfig::new(&base)).unwrap();
     assert_eq!(system.partitions(), 3);
     let got = system
         .search("//article//sec[about(., xml query evaluation)]", Some(10))
         .unwrap();
     assert_identical("reopen", &want, &got.answers);
     cleanup(&base);
+}
+
+/// One doc-id watermark: a document ingested directly into a partition's
+/// index advances that partition's allocator behind the system's back; the
+/// following system ingests must allocate past it (never reuse the id), at
+/// one partition and at three, and a caller-chosen id below a partition's
+/// watermark is refused with a typed error.
+#[test]
+fn system_ingest_never_reuses_an_id_taken_by_a_direct_partition_ingest() {
+    let xml = "<article><sec>quantum search basics</sec></article>";
+    for (partitions, direct_on) in [(1usize, 0usize), (3, 0), (3, 1), (3, 2)] {
+        let base = temp(&format!("watermark-n{partitions}-p{direct_on}"));
+        cleanup(&base);
+        let docs = (0..6).map(|_| xml.to_string());
+        let system =
+            TrexSystem::build_partitioned(TrexConfig::new(&base), partitions, docs).unwrap();
+
+        let part = system.system().part(direct_on);
+        let direct = part.index().ingest_document(xml).unwrap();
+        assert_eq!(direct, 6, "first free id");
+
+        let mut seen = vec![direct];
+        for _ in 0..5 {
+            let id = system.ingest_document(xml).unwrap();
+            assert!(id > direct, "id {id} does not clear the direct ingest");
+            assert!(!seen.contains(&id), "id {id} handed out twice: {seen:?}");
+            seen.push(id);
+        }
+        let all = system
+            .search("//article//sec[about(., quantum)]", None)
+            .unwrap();
+        let mut answered: Vec<u32> = all.answers.iter().map(|a| a.element.doc).collect();
+        answered.sort_unstable();
+        answered.dedup();
+        assert_eq!(answered, (0..12).collect::<Vec<u32>>(), "one answer per id");
+        assert_eq!(all.answers.len(), 12, "no id answers twice");
+
+        let stale = part.index().ingest_document_with_id(direct, xml);
+        assert!(
+            matches!(
+                stale,
+                Err(trex::index::IndexError::StaleDocId { doc_id: 6, .. })
+            ),
+            "{stale:?}"
+        );
+        drop(system);
+        cleanup(&base);
+    }
 }

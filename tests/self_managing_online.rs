@@ -393,47 +393,69 @@ fn reconcile_with_no_observations_is_a_no_op() {
     std::fs::remove_file(&store).ok();
 }
 
-/// The background manager end to end: start it with a short interval, serve
-/// queries, and watch it converge to a budget-respecting list set.
+/// The background manager end to end, at one and at two partitions: start
+/// it with a short interval, serve queries, and watch the one `SelfManager`
+/// converge to a budget-respecting list set on every partition.
 #[test]
 fn background_manager_converges_and_stops_cleanly() {
-    let (system, store) = build("manager", 32);
-    let engine = system.engine();
-    for _ in 0..6 {
-        engine
-            .evaluate(QUERIES[0], EvalOptions::new().k(Some(5)))
-            .unwrap();
-    }
-
-    let budget = 64 * 1024 * 1024;
-    let manager = system
-        .start_self_manager(
-            SelfManageOptions::new(budget).interval(std::time::Duration::from_millis(20)),
+    for partitions in [1usize, 2] {
+        let store = temp(&format!("manager-n{partitions}"));
+        let system = TrexSystem::build_partitioned(
+            TrexConfig::new(&store),
+            partitions,
+            IeeeGenerator::new(CorpusConfig {
+                docs: 32,
+                ..CorpusConfig::ieee_default()
+            })
+            .documents(),
         )
         .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let report = loop {
-        if let Some(report) = manager.last_report() {
-            if report.lists_materialized > 0 {
-                break report;
-            }
+        for _ in 0..6 {
+            system.search(QUERIES[0], Some(5)).unwrap();
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "manager never materialised: {:?}",
-            manager.last_error()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    };
-    assert!(report.bytes_used <= budget);
-    assert!(manager.last_error().is_none());
-    manager.stop();
 
-    // With the hot query's lists on disk, Auto now picks a top-k strategy.
-    let explain = system
-        .engine()
-        .explain(QUERIES[0], EvalOptions::new().k(Some(5)))
-        .unwrap();
-    assert_ne!(explain.chosen, trex::Strategy::Era, "{explain:?}");
-    std::fs::remove_file(&store).ok();
+        let budget = 64 * 1024 * 1024;
+        let manager = system
+            .start_self_manager(
+                SelfManageOptions::new(budget).interval(std::time::Duration::from_millis(20)),
+            )
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let cycle = loop {
+            if let Some(cycle) = manager.last_report() {
+                // Registry bytes persist across cycles, so a poll that
+                // misses the materialising cycle still sees its effect.
+                if cycle.reports.iter().all(|r| r.bytes_used > 0) {
+                    break cycle;
+                }
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "manager never materialised: {:?}",
+                manager.last_error()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        assert_eq!(cycle.reports.len(), partitions);
+        assert!(cycle.bytes_used() <= budget);
+        let split: u64 = cycle.budgets.iter().map(|b| b.budget_bytes).sum();
+        assert_eq!(split, budget, "the whole budget is handed out");
+        assert!(manager.last_error().is_none());
+        manager.stop();
+
+        // With the hot query's lists on disk, Auto now picks a top-k
+        // strategy on every partition.
+        for part in system.system().parts() {
+            let explain = part
+                .engine()
+                .explain(QUERIES[0], EvalOptions::new().k(Some(5)))
+                .unwrap();
+            assert_ne!(explain.chosen, trex::Strategy::Era, "{explain:?}");
+        }
+        drop(system);
+        for i in 0..partitions {
+            std::fs::remove_file(trex::partition_store_path(&store, i)).ok();
+        }
+        std::fs::remove_file(&store).ok();
+    }
 }

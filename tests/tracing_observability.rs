@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use trex::obs::{parse_json, DriftKind, JsonValue};
 use trex::{
-    EvalOptions, HttpServerConfig, ListKind, PartitionedTrexSystem, SelfManageOptions, Strategy,
-    TrexConfig, TrexSystem, TA_PREDICTION_FACTOR,
+    EvalOptions, FoldOptions, HttpServerConfig, ListKind, SelfManageOptions, Strategy, TrexConfig,
+    TrexSystem, TA_PREDICTION_FACTOR,
 };
 
 fn temp(name: &str) -> std::path::PathBuf {
@@ -258,13 +258,84 @@ fn healthz_is_liveness_readyz_is_readiness() {
     cleanup(&path);
 }
 
+/// The one fold worker serves every partition and is wired to the health
+/// surface at any partition count: documents ingested over HTTP into a
+/// three-partition system all drain out of their home partitions' deltas,
+/// and `/readyz` stays well-formed JSON throughout.
+#[test]
+fn fold_worker_drains_every_partition_under_readyz() {
+    let path = temp("fold-parts");
+    let system = TrexSystem::build_partitioned(TrexConfig::new(&path), 3, docs()).expect("build");
+    let server = system
+        .serve_http("127.0.0.1:0", HttpServerConfig::default())
+        .expect("start http server");
+    let addr = server.addr();
+    let folder = system
+        .start_fold_manager(
+            FoldOptions::new()
+                .max_docs(1)
+                .interval(Duration::from_millis(5)),
+        )
+        .expect("start fold worker");
+
+    let readyz = || {
+        let (status, _, body) = http_request(addr, "GET", "/v1/readyz", &[], None);
+        assert!(status.contains("200"), "{status}: {body}");
+        let health = parse_json(&body).expect("readyz body is JSON");
+        assert_eq!(health.get("ready").unwrap().as_bool(), Some(true));
+        assert!(health.get("generation").unwrap().as_u64().is_some());
+        assert!(health
+            .get("reconcile_in_flight")
+            .unwrap()
+            .as_bool()
+            .is_some());
+        health.get("fold_in_flight").unwrap().as_bool().unwrap()
+    };
+
+    const INGESTED: u64 = 30;
+    for i in 0..INGESTED {
+        let xml = format!("<article><sec>xml evaluation live{i}</sec><sec>cat dog</sec></article>");
+        let (status, _, body) = http_request(addr, "POST", "/v1/ingest", &[], Some(&xml));
+        assert!(status.contains("200"), "{status}: {body}");
+        readyz();
+    }
+
+    let parts = system.system().parts();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while parts.iter().any(|p| !p.index().delta().is_empty()) {
+        assert!(
+            Instant::now() < deadline,
+            "deltas never drained: {:?}",
+            folder.last_error()
+        );
+        readyz();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let folded: Vec<u64> = parts
+        .iter()
+        .map(|p| p.index().delta().folded_docs())
+        .collect();
+    assert_eq!(folded.iter().sum::<u64>(), INGESTED, "{folded:?}");
+    assert!(
+        folded.iter().all(|&n| n > 0),
+        "every partition folded: {folded:?}"
+    );
+    assert!(folder.folds() >= 1);
+    assert!(folder.last_error().is_none(), "{:?}", folder.last_error());
+    folder.stop();
+    assert!(!readyz(), "no fold in flight once the worker has stopped");
+
+    server.stop();
+    cleanup(&path);
+}
+
 #[test]
 fn partitioned_trace_tree_spans_every_partition() {
     let single_path = temp("scatter-single");
     let part_path = temp("scatter-parts");
     let single = TrexSystem::build(TrexConfig::new(&single_path), docs()).expect("build single");
     let parts =
-        PartitionedTrexSystem::build(TrexConfig::new(&part_path), 3, docs()).expect("build parts");
+        TrexSystem::build_partitioned(TrexConfig::new(&part_path), 3, docs()).expect("build parts");
     assert_eq!(parts.partitions(), 3);
 
     let single_server = single
@@ -394,6 +465,15 @@ fn advisor_journal_records_cycles_and_serves_history() {
     ] {
         assert!(first.get(key).unwrap().as_u64().is_some(), "missing {key}");
     }
+    // A single store is one partition holding the whole budget.
+    let JsonValue::Array(splits) = first.get("splits").expect("splits") else {
+        panic!("splits is not an array");
+    };
+    assert_eq!(splits.len(), 1, "{body}");
+    assert_eq!(
+        splits[0].get("budget_bytes").unwrap().as_u64(),
+        Some(64 * 1024 * 1024)
+    );
     let JsonValue::Array(shapes) = first.get("shapes").expect("shapes") else {
         panic!("shapes is not an array");
     };
