@@ -5,13 +5,11 @@
 //! These run at [`Scale::small`] so `cargo bench` completes quickly; the
 //! `experiments` binary runs the full sweep at the default scale.
 
-use std::time::{Duration, Instant};
-
-use criterion::{BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trex::corpus::{Collection, PAPER_QUERIES};
-use trex::{EvalOptions, ListKind, Strategy, ToJson, TrexSystem, TA_PREDICTION_FACTOR};
-use trex_bench::{bench_header, build_collection, build_partitioned_collection, store_dir, Scale};
+use trex::{EvalOptions, ListKind, Strategy, TrexSystem};
+use trex_bench::{build_collection, Scale};
 
 fn system(collection: Collection) -> TrexSystem {
     let scale = Scale::small();
@@ -112,276 +110,5 @@ fn table1(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling sweep of batch evaluation: the IEEE paper queries,
-/// repeated into a 48-query batch, evaluated at 1/2/4/8 worker threads over
-/// a warm cache. Reports best-of-three wall clock and derived throughput,
-/// and checks the sharded pool's exact accounting: per-shard counter deltas
-/// must sum to the pool-level deltas, and every thread count must perform
-/// the same total number of page fetches as the single-thread run (the
-/// batch does identical work regardless of parallelism).
-///
-/// Writes `BENCH_concurrency.json`. The ≥2.5× four-thread speedup target
-/// is asserted only when the host actually has four cores to scale onto;
-/// the measured speedups are always recorded in the export.
-fn concurrency_sweep() -> String {
-    const BATCH: usize = 48;
-    const ITERS: usize = 3;
-
-    let sys = system(Collection::Ieee);
-    let queries: Vec<&str> = PAPER_QUERIES
-        .iter()
-        .filter(|q| q.collection == Collection::Ieee)
-        .map(|q| q.nexi)
-        .collect();
-    for q in &queries {
-        sys.materialize_for(q, ListKind::Both).expect("materialize");
-    }
-    let batch: Vec<&str> = queries.iter().cycle().take(BATCH).copied().collect();
-    let opts = EvalOptions::new().k(10);
-
-    // Warm the cache so every sweep pass does identical, read-only work.
-    for r in sys.system().evaluate_batch(&batch, opts, 1) {
-        r.expect("warmup query");
-    }
-
-    // The 1-in-16 drift sampler reads per-list registry stats on whichever
-    // Ta/Merge queries its global round-robin lands on — a handful of extra
-    // page fetches that land on interleaving-dependent queries and would
-    // break the exact fetch-parity assertion below. Sampling is orthogonal
-    // to query work; switch it off for the accounting sweep.
-    let drift = &sys.index().telemetry().drift;
-    drift.set_sample_every(0);
-
-    let pool = sys.index().store().pool();
-    let storage = sys.index().store().counters();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut out = format!("{{{},\"batch\":", bench_header(Scale::small().ieee_docs, 8));
-    out.push_str(&format!(
-        "{BATCH},\"iters\":{ITERS},\"cores\":{cores},\"shards\":{},\"sweep\":[",
-        pool.shard_count()
-    ));
-
-    let mut single_best = Duration::ZERO;
-    let mut single_fetches = 0u64;
-    for (i, &threads) in [1usize, 2, 4, 8].iter().enumerate() {
-        let before = storage.snapshot();
-        let shards_before = pool.shard_counters();
-        let mut best = Duration::MAX;
-        for _ in 0..ITERS {
-            let start = Instant::now();
-            for r in sys.system().evaluate_batch(&batch, opts, threads) {
-                r.expect("sweep query");
-            }
-            best = best.min(start.elapsed());
-        }
-        let delta = storage.snapshot().delta(&before);
-        let shard_deltas: Vec<_> = pool
-            .shard_counters()
-            .iter()
-            .zip(&shards_before)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-
-        // Exact accounting: no cache event is lost under any thread count.
-        let shard_hits: u64 = shard_deltas.iter().map(|s| s.hits).sum();
-        let shard_misses: u64 = shard_deltas.iter().map(|s| s.misses).sum();
-        assert_eq!(shard_hits, delta.pool_hits, "{threads} threads: shard hits");
-        assert_eq!(
-            shard_misses, delta.pool_misses,
-            "{threads} threads: shard misses"
-        );
-        let fetches = delta.pool_hits + delta.pool_misses;
-        if threads == 1 {
-            single_best = best;
-            single_fetches = fetches;
-        } else {
-            assert_eq!(
-                fetches, single_fetches,
-                "{threads} threads did different work than single-thread"
-            );
-        }
-
-        let qps = BATCH as f64 / best.as_secs_f64();
-        let speedup = single_best.as_secs_f64() / best.as_secs_f64();
-        if threads == 4 && cores >= 4 {
-            assert!(
-                speedup >= 2.5,
-                "4-thread batch speedup {speedup:.2}x below the 2.5x target on {cores} cores"
-            );
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"threads\":{threads},\"best_us\":{},\"queries_per_sec\":{qps:.1},\
-             \"speedup\":{speedup:.3},\"page_fetches\":{fetches}}}",
-            best.as_micros()
-        ));
-    }
-    out.push(']');
-
-    // Per-partition accounting: the same batch forced through ERA over a
-    // 2-partition build of the same corpus, against a single-store ERA run
-    // as the baseline. ERA decodes every posting of every translated term
-    // exactly once, and routing puts each posting in exactly one
-    // partition, so the per-partition `posting_entries` deltas must sum
-    // *exactly* to the single-store total — that is the workload-equality
-    // assertion. Page fetches are recorded per partition as well (each
-    // partition's own pool accounts them), but their sum is reported, not
-    // asserted against the baseline: two half-size B+trees pack pages
-    // differently than one big one, so fetch counts legitimately differ
-    // even though the decoded work is identical.
-    let era = EvalOptions::new().k(10).strategy(Strategy::Era);
-    let single_index = sys.index().counters();
-    let fetch_before = storage.snapshot();
-    let entries_before = single_index.snapshot();
-    for q in &batch {
-        sys.engine().evaluate(q, era).expect("single-store era");
-    }
-    let fetch_delta = storage.snapshot().delta(&fetch_before);
-    let single_fetches_era = fetch_delta.pool_hits + fetch_delta.pool_misses;
-    let single_entries = single_index
-        .snapshot()
-        .delta(&entries_before)
-        .posting_entries;
-
-    let parted = build_partitioned_collection(Collection::Ieee, Scale::small().ieee_docs, 2, true);
-    let before: Vec<_> = parted
-        .system()
-        .parts()
-        .iter()
-        .map(|p| {
-            (
-                p.index().store().counters().snapshot(),
-                p.index().counters().snapshot(),
-            )
-        })
-        .collect();
-    for q in &batch {
-        parted.system().evaluate(q, era).expect("partitioned era");
-    }
-    let mut per_part = Vec::new();
-    let mut entries_sum = 0u64;
-    let mut fetches_sum = 0u64;
-    for (part, (sb, ib)) in parted.system().parts().iter().zip(&before) {
-        let sd = part.index().store().counters().snapshot().delta(sb);
-        let id = part.index().counters().snapshot().delta(ib);
-        let fetches = sd.pool_hits + sd.pool_misses;
-        entries_sum += id.posting_entries;
-        fetches_sum += fetches;
-        per_part.push((fetches, id.posting_entries));
-    }
-    assert_eq!(
-        entries_sum, single_entries,
-        "per-partition posting decodes must sum exactly to the single-store total"
-    );
-    out.push_str(&format!(
-        ",\"partitioned\":{{\"partitions\":2,\"strategy\":\"era\",\
-         \"single_page_fetches\":{single_fetches_era},\
-         \"single_posting_entries\":{single_entries},\
-         \"page_fetches_total\":{fetches_sum},\
-         \"posting_entries_total\":{entries_sum},\"per_partition\":["
-    ));
-    for (i, (fetches, entries)) in per_part.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"partition\":{i},\"page_fetches\":{fetches},\"posting_entries\":{entries}}}"
-        ));
-    }
-    out.push_str("]}}");
-    out
-}
-
-/// Runs every group on one `Criterion` so the recorded results can be
-/// exported, then writes `BENCH_trace.json`: the bench timings, a traced
-/// run of each figure query, and the measured-versus-predicted cost-model
-/// validation.
-fn main() {
-    let mut criterion = Criterion::default();
-    fig4(&mut criterion);
-    fig5(&mut criterion);
-    fig6(&mut criterion);
-    table1(&mut criterion);
-
-    let mut out = format!(
-        "{{{},\"benches\":[",
-        bench_header(Scale::small().ieee_docs, 1)
-    );
-    for (i, r) in criterion.results().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"min_us\":{},\"median_us\":{},\"mean_us\":{},\"samples\":{}}}",
-            trex::obs::json_escape(&r.name),
-            r.min.as_micros(),
-            r.median.as_micros(),
-            r.mean.as_micros(),
-            r.samples
-        ));
-    }
-    out.push_str("],\"traces\":[");
-
-    let mut first = true;
-    for &query_id in &[202u32, 260, 233] {
-        let q = trex::corpus::paper_query(query_id).expect("known query");
-        let sys = system(q.collection);
-        sys.materialize_for(q.nexi, ListKind::Both)
-            .expect("materialize");
-        let engine = sys.engine();
-        for strategy in [Strategy::Ta, Strategy::Merge] {
-            let result = engine
-                .evaluate(
-                    q.nexi,
-                    EvalOptions::new().k(10).strategy(strategy).trace(true),
-                )
-                .expect("traced run");
-            let trace = result.trace.expect("trace requested");
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{{\"query\":{query_id},\"trace\":"));
-            trace.write_json(&mut out);
-            out.push('}');
-        }
-
-        // Measured vs predicted §4 access counts; the ratio must be finite
-        // and within the documented factor or the bench itself fails.
-        let validations = engine.validate_costs(q.nexi, 10).expect("cost validation");
-        for v in &validations {
-            assert!(
-                v.ratio().is_finite() && v.within_factor(TA_PREDICTION_FACTOR),
-                "query {query_id} {}: measured {} vs predicted {} outside factor {TA_PREDICTION_FACTOR}",
-                v.strategy,
-                v.measured,
-                v.predicted
-            );
-        }
-        out.push_str(",{\"query\":");
-        out.push_str(&query_id.to_string());
-        out.push_str(",\"cost_validation\":[");
-        for (i, v) in validations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.write_json(&mut out);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-
-    let path = store_dir().join("BENCH_trace.json");
-    std::fs::write(&path, &out).expect("write BENCH_trace.json");
-    println!("\nwrote {} ({} bytes)", path.display(), out.len());
-
-    let sweep = concurrency_sweep();
-    let path = store_dir().join("BENCH_concurrency.json");
-    std::fs::write(&path, &sweep).expect("write BENCH_concurrency.json");
-    println!("wrote {} ({} bytes)", path.display(), sweep.len());
-}
+criterion_group!(benches, fig4, fig5, fig6, table1);
+criterion_main!(benches);

@@ -46,51 +46,23 @@ pub fn store_dir() -> PathBuf {
 /// Builds (or reuses, when `reuse` is set and the store exists) the
 /// single-store system for one collection at the given document count.
 pub fn build_collection(collection: Collection, docs: usize, reuse: bool) -> TrexSystem {
-    build_partitioned_collection(collection, docs, 1, reuse)
-}
-
-/// Builds (or reuses, when `reuse` is set and a store of the same
-/// partition count exists) the system for one collection. The corpus and
-/// document order are the same at every partition count, so answers are
-/// byte-identical to the single-store system.
-pub fn build_partitioned_collection(
-    collection: Collection,
-    docs: usize,
-    partitions: usize,
-    reuse: bool,
-) -> TrexSystem {
     let (kind, corpus) = match collection {
         Collection::Ieee => ("ieee", CorpusConfig::ieee_default()),
         Collection::Wiki => ("wiki", CorpusConfig::wiki_default()),
     };
-    let name = if partitions > 1 {
-        format!("{kind}-{docs}-part{partitions}.db")
-    } else {
-        format!("{kind}-{docs}.db")
-    };
-    let mut config = TrexConfig::new(store_dir().join(name));
+    let mut config = TrexConfig::new(store_dir().join(format!("{kind}-{docs}.db")));
     if collection == Collection::Wiki {
         config.alias = AliasMap::inex_wiki();
     }
     if reuse {
         if let Ok(system) = TrexSystem::open(config.clone()) {
-            if system.partitions() == partitions {
-                return system;
-            }
+            return system;
         }
     }
     let corpus = CorpusConfig { docs, ..corpus };
     match collection {
-        Collection::Ieee => TrexSystem::build_partitioned(
-            config,
-            partitions,
-            IeeeGenerator::new(corpus).documents(),
-        ),
-        Collection::Wiki => TrexSystem::build_partitioned(
-            config,
-            partitions,
-            WikiGenerator::new(corpus).documents(),
-        ),
+        Collection::Ieee => TrexSystem::build(config, IeeeGenerator::new(corpus).documents()),
+        Collection::Wiki => TrexSystem::build(config, WikiGenerator::new(corpus).documents()),
     }
     .expect("build collection")
 }
@@ -126,35 +98,6 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// The common header every `BENCH_*.json` export opens with:
-///
-/// ```json
-/// "header":{"schema_version":1,"unix_ts":0,"scale":150,"threads":4,"git_rev":"unknown"}
-/// ```
-///
-/// `scale` is the collection size (documents) the bench ran at and `threads`
-/// its worker-thread count. Timestamp and revision are read from the
-/// environment at export time (`TREX_BENCH_UNIX_TS`, `TREX_BENCH_GIT_REV`)
-/// rather than sampled, so a bench rerun under the same environment is
-/// byte-identical; unset they default to `0` / `"unknown"`. The schema
-/// version is [`trex::obs::SCHEMA_VERSION`] — the one number shared by
-/// every observability export — and `scripts/check_bench_headers.sh`
-/// asserts all `BENCH_*.json` files agree on it. The schema is documented
-/// in EXPERIMENTS.md.
-pub fn bench_header(scale: usize, threads: usize) -> String {
-    let unix_ts: u64 = std::env::var("TREX_BENCH_UNIX_TS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let git_rev = std::env::var("TREX_BENCH_GIT_REV").unwrap_or_else(|_| "unknown".to_string());
-    format!(
-        "\"header\":{{\"schema_version\":{},\"unix_ts\":{unix_ts},\"scale\":{scale},\
-         \"threads\":{threads},\"git_rev\":\"{}\"}}",
-        trex::obs::SCHEMA_VERSION,
-        trex::obs::json_escape(&git_rev)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,16 +108,6 @@ mod tests {
         assert!(ks.iter().all(|&k| k <= 60));
         assert!(ks.contains(&1));
         assert_eq!(k_sweep(0), vec![1, 2], "empty results still sweep tiny k");
-    }
-
-    #[test]
-    fn bench_header_is_deterministic_without_env() {
-        // The test environment may or may not set the override vars; the
-        // shape is fixed either way.
-        let h = bench_header(150, 4);
-        assert!(h.starts_with("\"header\":{\"schema_version\":1,\"unix_ts\":"));
-        assert!(h.contains("\"scale\":150,\"threads\":4,\"git_rev\":\""));
-        assert!(h.ends_with("\"}"));
     }
 
     #[test]

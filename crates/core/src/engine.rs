@@ -521,10 +521,9 @@ impl<'a> QueryEngine<'a> {
         // The drift monitor piggybacks on the same snapshots: every traced
         // query feeds it, and 1-in-N untraced queries are sampled so the
         // cost model stays continuously checked under plain traffic.
-        let slow_armed = telemetry.enabled() && telemetry.slow.threshold_ns() != u64::MAX;
+        let slow_armed = telemetry.slow.threshold_ns() != u64::MAX;
         let explicit_trace = opts.trace || opts.trace_context.is_some();
-        let drift_sampled = telemetry.enabled()
-            && !explicit_trace
+        let drift_sampled = !explicit_trace
             && matches!(strategy, Strategy::Ta | Strategy::Merge)
             && telemetry.drift.should_sample();
         let journal_dropped0 = telemetry.journal.dropped();
@@ -647,9 +646,7 @@ impl<'a> QueryEngine<'a> {
         // actual access counts — the continuous-production version of
         // `validate_costs`. The read gate is still held, so the list stats
         // describe exactly the generation the query evaluated under.
-        if (explicit_trace && telemetry.enabled() || drift_sampled)
-            && matches!(strategy, Strategy::Ta | Strategy::Merge)
-        {
+        if (explicit_trace || drift_sampled) && matches!(strategy, Strategy::Ta | Strategy::Merge) {
             if let Some(trace) = &trace {
                 if let Err(e) = self.observe_drift(strategy, sids, terms, opts.k, trace) {
                     // Drift is observability; a racing list drop must not
@@ -659,26 +656,23 @@ impl<'a> QueryEngine<'a> {
             }
         }
 
-        // Latency histograms: the stage durations were measured above either
-        // way, so recording honours the pause switch without extra clocks.
+        // Latency histograms, from the stage durations measured above.
         let total_time = translate_time + evaluate_time + rank_time;
-        if telemetry.query.enabled() {
-            let timers = &telemetry.query;
-            timers.translate.record_duration(translate_time);
-            timers.rank.record_duration(rank_time);
-            timers.query.record_duration(total_time);
-            let per_strategy = match &stats {
-                StrategyStats::Era(_) => &timers.era_eval,
-                StrategyStats::Ta(_) => &timers.ta_eval,
-                StrategyStats::Merge(_) => &timers.merge_eval,
-                StrategyStats::Race { .. } => &timers.race_eval,
-                // Scatter stats are assembled in `crate::partition` from
-                // per-partition results; they never come out of a single
-                // engine's evaluation.
-                StrategyStats::Scatter { .. } => unreachable!("scatter is built above the engine"),
-            };
-            per_strategy.record_duration(evaluate_time);
-        }
+        let timers = &telemetry.query;
+        timers.translate.record_duration(translate_time);
+        timers.rank.record_duration(rank_time);
+        timers.query.record_duration(total_time);
+        let per_strategy = match &stats {
+            StrategyStats::Era(_) => &timers.era_eval,
+            StrategyStats::Ta(_) => &timers.ta_eval,
+            StrategyStats::Merge(_) => &timers.merge_eval,
+            StrategyStats::Race { .. } => &timers.race_eval,
+            // Scatter stats are assembled in `crate::partition` from
+            // per-partition results; they never come out of a single
+            // engine's evaluation.
+            StrategyStats::Scatter { .. } => unreachable!("scatter is built above the engine"),
+        };
+        per_strategy.record_duration(evaluate_time);
 
         if let (Some(profiler), Some(nexi)) = (self.profiler, nexi) {
             // Record only after a successful evaluation: failed queries are
@@ -693,12 +687,12 @@ impl<'a> QueryEngine<'a> {
         drop(query_span);
         let total_ns = u64::try_from(total_time.as_nanos()).unwrap_or(u64::MAX);
         let slow_hit = slow_armed && telemetry.slow.qualifies(total_ns);
-        let want_tree = opts.trace_context.is_some() && root_span_id != 0;
+        let want_tree = opts.trace_context.is_some();
         // Journal wrap-around between arming and collection silently loses
         // events; surface that as `truncated` rather than serving a tree
         // that looks complete.
         let journal_lost = telemetry.journal.dropped() > journal_dropped0;
-        let (trace_tree, trace_truncated) = if want_tree || (slow_hit && root_span_id != 0) {
+        let (trace_tree, trace_truncated) = if want_tree || slow_hit {
             let events = telemetry.journal.collect_tree(root_span_id);
             let (tree, structural) = tree_from_events(&events, root_span_id);
             let truncated = journal_lost || structural;
@@ -715,19 +709,6 @@ impl<'a> QueryEngine<'a> {
             }
             (if want_tree { tree } else { None }, truncated)
         } else {
-            if slow_hit {
-                // Spans were paused for this query (root id 0): record the
-                // timings without a tree, and say so.
-                telemetry.slow.record(SlowQuery {
-                    query: nexi.unwrap_or("<pre-translated>").to_string(),
-                    strategy: stats.name().to_string(),
-                    total: total_time,
-                    trace: trace.clone().unwrap_or_default(),
-                    spans: Vec::new(),
-                    trace_id: opts.trace_context.map(|c| c.trace_id),
-                    truncated: true,
-                });
-            }
             (None, journal_lost)
         };
 

@@ -98,9 +98,7 @@ impl<'a> QueryService<'a> {
     pub fn execute_from(&self, req: &QueryRequest, started: Instant) -> Result<QueryResponse> {
         let result = self.run(req, started);
         if let Some(metrics) = &self.metrics {
-            if metrics.timers.enabled() {
-                metrics.timers.request.record_duration(started.elapsed());
-            }
+            metrics.timers.request.record_duration(started.elapsed());
             if let Err(e) = &result {
                 match e {
                     TrexError::DeadlineExceeded => metrics.counters.deadline_exceeded.incr(),

@@ -79,10 +79,7 @@ impl Maintenance {
     /// the underlying `std` lock is not reentrant and a waiting writer can
     /// deadlock a recursive read.
     pub fn enter_read(&self) -> ReadGuard<'_> {
-        let sw = match &self.telemetry {
-            Some(t) => t.maint.start(),
-            None => trex_obs::Stopwatch::disabled(),
-        };
+        let sw = trex_obs::Stopwatch::started();
         let guard = ReadGuard(self.gate.read());
         if let Some(t) = &self.telemetry {
             t.maint.read_gate_wait.observe(&sw);
@@ -93,10 +90,7 @@ impl Maintenance {
     /// Enters a write-side critical section (one list mutation). Blocks
     /// until every in-flight query drains; new queries block until release.
     pub fn enter_write(&self) -> WriteGuard<'_> {
-        let sw = match &self.telemetry {
-            Some(t) => t.maint.start(),
-            None => trex_obs::Stopwatch::disabled(),
-        };
+        let sw = trex_obs::Stopwatch::started();
         let guard = WriteGuard {
             guard: self.gate.write(),
             generation: &self.generation,

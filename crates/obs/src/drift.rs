@@ -8,14 +8,14 @@
 //! and block granularity. Each slot keeps an EWMA gauge (fast to read, no
 //! lock) and a log-bucketed error histogram (recorded in **milli-error**
 //! units: 1000 = the prediction was off by 1×). When a single observation
-//! exceeds the settable alert threshold, `cost_model_drift_alerts`
+//! exceeds [`DEFAULT_DRIFT_ALERT_THRESHOLD`], `cost_model_drift_alerts`
 //! increments — the operator-facing "the model no longer matches the data"
 //! tripwire.
 //!
 //! The monitor follows the relaxed-atomics discipline of the counter layer:
 //! one CAS loop per EWMA update, one `fetch_add` per histogram record, and
-//! a cheap `should_sample()` so untraced traffic still feeds it at 1-in-N
-//! cost.
+//! a cheap `should_sample()` so untraced traffic still feeds it, one query
+//! in [`DEFAULT_DRIFT_SAMPLE_EVERY`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,19 +116,15 @@ pub struct DriftMonitor {
     slots: [DriftSlot; 4],
     /// Observations whose relative error exceeded the alert threshold.
     pub alerts: Counter,
-    /// Alert threshold in milli-error units.
-    threshold_milli: AtomicU64,
-    /// Sample 1-in-N untraced queries (0 disables sampling).
-    sample_every: AtomicU64,
     sample_seq: AtomicU64,
 }
 
-/// Default alert threshold: relative error 32× — the documented
+/// Alert threshold: relative error 32× — the documented
 /// TA_PREDICTION_FACTOR headroom of the §4 TA bound. Merge predictions are
 /// exact, so any Merge alert at this threshold is a genuine model breach.
 pub const DEFAULT_DRIFT_ALERT_THRESHOLD: f64 = 32.0;
 
-/// Default untraced-query sampling period: one query in 16 takes the
+/// Untraced-query sampling period: one query in 16 takes the
 /// counter-snapshot path so the monitor sees steady traffic even when no
 /// client requests traces.
 pub const DEFAULT_DRIFT_SAMPLE_EVERY: u64 = 16;
@@ -140,13 +136,11 @@ impl Default for DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// A zeroed monitor with the default threshold and sampling period.
+    /// A zeroed monitor.
     pub fn new() -> DriftMonitor {
         DriftMonitor {
             slots: Default::default(),
             alerts: Counter::new(),
-            threshold_milli: AtomicU64::new((DEFAULT_DRIFT_ALERT_THRESHOLD * 1_000.0) as u64),
-            sample_every: AtomicU64::new(DEFAULT_DRIFT_SAMPLE_EVERY),
             sample_seq: AtomicU64::new(0),
         }
     }
@@ -156,7 +150,7 @@ impl DriftMonitor {
     pub fn observe(&self, kind: DriftKind, predicted: f64, measured: u64) {
         let err = (measured as f64 - predicted).abs() / predicted.max(1.0);
         self.slots[kind.index()].observe(err);
-        if err * 1_000.0 > self.threshold_milli.load(Ordering::Relaxed) as f64 {
+        if err > DEFAULT_DRIFT_ALERT_THRESHOLD {
             self.alerts.incr();
         }
     }
@@ -181,35 +175,13 @@ impl DriftMonitor {
         self.alerts.get()
     }
 
-    /// Sets the alert threshold (relative-error units; e.g. `2.0` alerts
-    /// when a prediction is off by more than 2×).
-    pub fn set_alert_threshold(&self, threshold: f64) {
-        self.threshold_milli
-            .store((threshold.max(0.0) * 1_000.0) as u64, Ordering::Relaxed);
-    }
-
-    /// The current alert threshold in relative-error units.
-    pub fn alert_threshold(&self) -> f64 {
-        self.threshold_milli.load(Ordering::Relaxed) as f64 / 1_000.0
-    }
-
-    /// Sets the untraced-query sampling period (sample 1-in-`n`; 0 turns
-    /// sampling off so only explicitly traced queries feed the monitor).
-    pub fn set_sample_every(&self, n: u64) {
-        self.sample_every.store(n, Ordering::Relaxed);
-    }
-
     /// Whether the calling (untraced) query should take the snapshot path
     /// and feed the monitor. Advances the round-robin sequence.
     #[inline]
     pub fn should_sample(&self) -> bool {
-        let every = self.sample_every.load(Ordering::Relaxed);
-        if every == 0 {
-            return false;
-        }
         self.sample_seq
             .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+            .is_multiple_of(DEFAULT_DRIFT_SAMPLE_EVERY)
     }
 }
 
@@ -220,7 +192,7 @@ impl ToJson for DriftMonitor {
         out.push('{');
         json_field(out, "alerts", self.alerts());
         out.push(',');
-        json_field(out, "threshold", self.alert_threshold());
+        json_field(out, "threshold", DEFAULT_DRIFT_ALERT_THRESHOLD);
         out.push_str(",\"slots\":{");
         for (i, kind) in DRIFT_KINDS.iter().enumerate() {
             if i > 0 {
@@ -276,12 +248,11 @@ mod tests {
     #[test]
     fn alerts_fire_only_above_threshold() {
         let m = DriftMonitor::new();
-        m.set_alert_threshold(1.0);
-        m.observe(DriftKind::TaEntries, 100.0, 150); // err 0.5 — no alert
+        m.observe(DriftKind::TaEntries, 100.0, 3_300); // err 32 — at, not above
         assert_eq!(m.alerts(), 0);
-        m.observe(DriftKind::TaEntries, 100.0, 350); // err 2.5 — alert
+        m.observe(DriftKind::TaEntries, 100.0, 3_400); // err 33 — alert
         assert_eq!(m.alerts(), 1);
-        assert!((m.alert_threshold() - 1.0).abs() < 1e-9);
+        assert!(m.to_json().contains("\"threshold\":32,"));
     }
 
     #[test]
@@ -294,11 +265,9 @@ mod tests {
     #[test]
     fn sampling_is_one_in_n() {
         let m = DriftMonitor::new();
-        m.set_sample_every(4);
-        let hits = (0..100).filter(|_| m.should_sample()).count();
-        assert_eq!(hits, 25);
-        m.set_sample_every(0);
-        assert!(!(0..10).any(|_| m.should_sample()));
+        let n = DEFAULT_DRIFT_SAMPLE_EVERY as usize;
+        let hits: Vec<usize> = (0..10 * n).filter(|_| m.should_sample()).collect();
+        assert_eq!(hits, (0..10).map(|i| i * n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! fixed ~4 KiB array — no resizing, no locking, `fetch_add(Relaxed)` per
 //! record, exactly the discipline of the counter layer.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::{json_field, ToJson};
@@ -57,33 +57,24 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// A running stopwatch, or a no-op when its timer group is paused.
+/// A running stopwatch.
 ///
 /// Call sites do `let sw = timers.start(); ...; timers.page_read.observe(&sw);`
-/// — one `Instant::now` at start, one at observe, and *neither* when the
-/// group is paused, which is how the overhead bench measures a true
-/// telemetry-off baseline.
+/// — one `Instant::now` at start, one at observe.
 #[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Option<Instant>);
+pub struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// A stopwatch started now.
     #[inline]
     pub fn started() -> Stopwatch {
-        Stopwatch(Some(Instant::now()))
+        Stopwatch(Instant::now())
     }
 
-    /// A stopwatch that records nothing.
+    /// Nanoseconds since start.
     #[inline]
-    pub fn disabled() -> Stopwatch {
-        Stopwatch(None)
-    }
-
-    /// Nanoseconds since start, or `None` for a disabled stopwatch.
-    #[inline]
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.0
-            .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    pub fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -137,12 +128,10 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Records the elapsed time of `sw`; no-op for a disabled stopwatch.
+    /// Records the elapsed time of `sw`.
     #[inline]
     pub fn observe(&self, sw: &Stopwatch) {
-        if let Some(ns) = sw.elapsed_ns() {
-            self.record(ns);
-        }
+        self.record(sw.elapsed_ns());
     }
 
     /// A point-in-time copy. Concurrent `record`s may straddle the copy;
@@ -314,9 +303,8 @@ impl ToJson for HistogramSnapshot {
     }
 }
 
-/// Defines a named group of histograms with a shared pause switch, mirroring
-/// `counter_group!`: `new()`, per-field public [`Histogram`]s, `start()`
-/// returning a [`Stopwatch`] (disabled while the group is paused), and
+/// Defines a named group of histograms, mirroring `counter_group!`: `new()`,
+/// per-field public [`Histogram`]s, `start()` returning a [`Stopwatch`], and
 /// `each()` for the metrics registry to iterate fields by name.
 macro_rules! histogram_group {
     (
@@ -329,37 +317,18 @@ macro_rules! histogram_group {
         #[derive(Debug, Default)]
         pub struct $name {
             $($(#[$field_meta])* pub $field: Histogram,)+
-            enabled: AtomicBool,
         }
 
         impl $name {
-            /// A zeroed, enabled group.
+            /// A zeroed group.
             pub fn new() -> $name {
-                $name {
-                    $($field: Histogram::new(),)+
-                    enabled: AtomicBool::new(true),
-                }
+                $name { $($field: Histogram::new(),)+ }
             }
 
-            /// Pauses or resumes recording. Paused groups hand out disabled
-            /// stopwatches, so call sites skip both `Instant::now` calls.
-            pub fn set_enabled(&self, on: bool) {
-                self.enabled.store(on, Ordering::Relaxed);
-            }
-
-            /// Whether the group is recording.
-            pub fn enabled(&self) -> bool {
-                self.enabled.load(Ordering::Relaxed)
-            }
-
-            /// A stopwatch honouring the group's pause switch.
+            /// A stopwatch started now, for one of the group's histograms.
             #[inline]
             pub fn start(&self) -> Stopwatch {
-                if self.enabled() {
-                    Stopwatch::started()
-                } else {
-                    Stopwatch::disabled()
-                }
+                Stopwatch::started()
             }
 
             /// `(field_name, histogram)` pairs, for exposition.
@@ -557,19 +526,6 @@ mod tests {
         assert!(inf_seen);
         assert!(out.contains("trex_test_seconds_sum "));
         assert!(out.ends_with("trex_test_seconds_count 4\n"));
-    }
-
-    #[test]
-    fn paused_group_hands_out_disabled_stopwatches() {
-        let t = QueryTimers::new();
-        t.set_enabled(false);
-        let sw = t.start();
-        assert!(sw.elapsed_ns().is_none());
-        t.query.observe(&sw);
-        assert_eq!(t.query.snapshot().count(), 0);
-        t.set_enabled(true);
-        t.query.observe(&t.start());
-        assert_eq!(t.query.snapshot().count(), 1);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //!   a single uncontended atomic add per counted event, cheap enough to leave
 //!   on in production builds. The *trace* toggle only controls whether a
 //!   query takes before/after snapshots and attaches a [`QueryTrace`].
-//!   Histograms and spans follow the same discipline and are on by default;
-//!   a registry-level pause switch exists so the overhead bench can measure
-//!   a true off baseline.
+//!   Histograms and spans follow the same discipline and are always on.
 //! * Layers share counters by `Arc`: the buffer pool and pager share one
 //!   [`StorageCounters`], every table/iterator of an index shares one
 //!   [`IndexCounters`]. Snapshot deltas around a query therefore capture all
@@ -60,15 +58,14 @@ pub use trace::{
     TraceContext, TraceNode, TraceRecord, TraceStore,
 };
 
-/// Version of every exposition schema this build emits: the `BENCH_*.json`
-/// header, the `/metrics.json` layout, and the advisor/trace wire bodies
-/// share this one number so `scripts/check_bench_headers.sh` can assert a
-/// whole experiment run came from one schema.
+/// Version of every exposition schema this build emits: the `/metrics.json`
+/// layout and the advisor/trace wire bodies share this one number, rendered
+/// as the `schema_version` label of `trex_build_info`.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The build's git revision for exposition, matching the unified BENCH
-/// header's sourcing: `TREX_BENCH_GIT_REV` from the environment, `"unknown"`
-/// when unset (deterministic across reruns under one environment).
+/// The git revision `trex_build_info` reports: the `TREX_BENCH_GIT_REV`
+/// environment variable, `"unknown"` when unset (deterministic across
+/// reruns under one environment).
 pub fn build_git_rev() -> String {
     std::env::var("TREX_BENCH_GIT_REV").unwrap_or_else(|_| "unknown".to_string())
 }

@@ -3,7 +3,6 @@
 //! [`MetricsRegistry`] gathers every counter and histogram group of one
 //! system behind `render_prometheus()` / `render_json()`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,11 +33,10 @@ pub struct Telemetry {
     pub slow: SlowQueryLog,
     /// Live cost-model drift gauges, fed by traced-or-sampled queries.
     pub drift: DriftMonitor,
-    enabled: AtomicBool,
 }
 
 impl Telemetry {
-    /// Fresh, enabled telemetry.
+    /// Fresh telemetry.
     pub fn new() -> Telemetry {
         Telemetry {
             query: QueryTimers::new(),
@@ -46,25 +44,7 @@ impl Telemetry {
             journal: SpanJournal::new(),
             slow: SlowQueryLog::new(),
             drift: DriftMonitor::new(),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Pauses or resumes the timers and the journal together. Paused
-    /// telemetry skips every clock read and span push — this is the
-    /// telemetry-off baseline of the overhead bench. (The slow-query
-    /// threshold is left alone; a paused system records no spans, so no
-    /// slow queries get captured either.)
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-        self.query.set_enabled(on);
-        self.maint.set_enabled(on);
-        self.journal.set_enabled(on);
-    }
-
-    /// Whether telemetry is recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -225,18 +205,9 @@ impl MetricsRegistry {
         self.started.elapsed().as_secs()
     }
 
-    /// The build's git revision label (unified BENCH header sourcing).
+    /// The build's git revision label (see [`crate::build_git_rev`]).
     pub fn git_rev(&self) -> &str {
         &self.git_rev
-    }
-
-    /// Pauses or resumes every timer group and the span journal (counters
-    /// stay on — they are the PR-1 always-on layer). Used by the overhead
-    /// bench to measure a true telemetry-off baseline.
-    pub fn set_telemetry_enabled(&self, on: bool) {
-        self.storage_timers.set_enabled(on);
-        self.telemetry.set_enabled(on);
-        self.serve.timers.set_enabled(on);
     }
 
     fn counter_groups(&self) -> [(&'static str, Vec<(&'static str, u64)>); 4] {
@@ -673,18 +644,5 @@ mod tests {
         assert!(json.contains("\"page_reads\":3"));
         // Still valid after the array: the scalar tail fields follow.
         assert!(json.contains("],\"serve_queue_depth\":0"));
-    }
-
-    #[test]
-    fn pause_switch_reaches_every_group() {
-        let r = registry();
-        r.set_telemetry_enabled(false);
-        assert!(!r.storage_timers.enabled());
-        assert!(!r.telemetry.enabled());
-        assert!(!r.serve().timers.enabled());
-        assert!(r.storage_timers.start().elapsed_ns().is_none());
-        r.set_telemetry_enabled(true);
-        assert!(r.telemetry.journal.enabled());
-        assert!(r.serve().timers.enabled());
     }
 }

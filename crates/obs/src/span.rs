@@ -16,7 +16,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -152,7 +152,6 @@ pub struct SpanJournal {
     next_seq: AtomicU64,
     /// Events overwritten by ring wrap-around since creation.
     dropped: AtomicU64,
-    enabled: AtomicBool,
     stripes: [Mutex<Stripe>; STRIPES],
 }
 
@@ -163,27 +162,15 @@ impl Default for SpanJournal {
 }
 
 impl SpanJournal {
-    /// An empty, enabled journal.
+    /// An empty journal.
     pub fn new() -> SpanJournal {
         SpanJournal {
             epoch: Instant::now(),
             next_id: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
             stripes: std::array::from_fn(|_| Mutex::new(Stripe::new())),
         }
-    }
-
-    /// Pauses or resumes recording. Spans opened while paused are complete
-    /// no-ops (no id allocation, no clock reads, no pushes).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the journal is recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Events lost to ring wrap-around since creation.
@@ -202,14 +189,6 @@ impl SpanJournal {
     /// same thread while the guard lives.
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if !self.enabled() {
-            return SpanGuard {
-                journal: self,
-                id: 0,
-                parent: 0,
-                name,
-            };
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let parent = CURRENT_SPAN.with(|c| c.replace(id));
         self.push(SpanKind::Begin, id, parent, name);
@@ -305,7 +284,7 @@ pub struct SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
-    /// The span's id (0 when the journal was paused at open).
+    /// The span's id (never 0).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -313,9 +292,6 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.id == 0 {
-            return;
-        }
         self.journal
             .push(SpanKind::End, self.id, self.parent, self.name);
         CURRENT_SPAN.with(|c| c.set(self.parent));
@@ -545,20 +521,6 @@ mod tests {
         assert!(tree.iter().any(|e| e.name == "evaluate:merge"));
         assert!(!tree.iter().any(|e| e.name == "evaluate:ta"));
         check_nesting(&tree).unwrap();
-    }
-
-    #[test]
-    fn paused_journal_records_nothing() {
-        let j = SpanJournal::new();
-        j.set_enabled(false);
-        {
-            let g = j.span("query");
-            assert_eq!(g.id(), 0);
-        }
-        assert!(j.snapshot().is_empty());
-        j.set_enabled(true);
-        let _ = j.span("query");
-        assert_eq!(j.snapshot().len(), 2);
     }
 
     #[test]

@@ -44,15 +44,16 @@
 //! **Errors.** Every non-200 response is a structured JSON object
 //! `{"code", "message", "retryable"}` — `400` (unparsable request or
 //! query), `404`, `405`, `408` (deadline), `411`/`413` (body framing),
-//! `429` (shed, with a `Retry-After` derived from the observed median
+//! `431` (request head over 16 KiB or 100 headers), `429` (shed, with a `Retry-After` derived from the observed median
 //! service time and the queue depth), `500` (engine failure), `507`
 //! (document-id space exhausted).
 //!
 //! No external dependency, no framework: requests are read line-by-line
-//! with per-connection read/write timeouts, bodies are framed by
-//! `Content-Length` (capped), and every response closes the connection.
+//! with per-connection read/write timeouts, heads and bodies are capped
+//! (bodies framed by `Content-Length`), and every response closes the
+//! connection.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,18 +141,13 @@ fn serve_loop(listener: TcpListener, registry: MetricsRegistry, stop: Arc<Atomic
 
 fn handle_scrape(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so well-behaved clients see a clean close.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 2 {
-        header.clear();
-    }
-
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
+    // Scrapes carry no body: a POST with one answers 413.
+    let outcome = read_request(&mut reader, 0)?;
     let mut stream = reader.into_inner();
+    let (method, path) = match outcome {
+        Ok((method, path, _, _)) => (method, path),
+        Err((status, body)) => return respond(&mut stream, status, "application/json", &body),
+    };
 
     if method != "GET" {
         return respond(
@@ -161,7 +157,7 @@ fn handle_scrape(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Resu
             "GET only\n",
         );
     }
-    match metrics_route(unversioned(path), registry) {
+    match metrics_route(unversioned(&path), registry) {
         Some((status, content_type, body)) => respond(&mut stream, status, content_type, &body),
         None => respond(
             &mut stream,
@@ -341,9 +337,7 @@ impl HttpServer {
                         }
                         while let Ok((stream, enqueued)) = rx.recv() {
                             serve.queue_depth.decr();
-                            if serve.timers.enabled() {
-                                serve.timers.queue_wait.record_duration(enqueued.elapsed());
-                            }
+                            serve.timers.queue_wait.record_duration(enqueued.elapsed());
                             let _ = handle_conn(stream, &service, &registry, &config, enqueued);
                         }
                     })?,
@@ -446,23 +440,53 @@ fn accept_loop(
 /// How long a shed client should wait before retrying: the time the full
 /// queue needs to drain at the observed median service time — `p50 ×
 /// queue_depth`, rounded up to whole seconds and clamped to `1..=30`. With
-/// no latency history yet (cold server, timers disabled) this degrades to
-/// the old fixed `1`.
+/// no latency history yet (cold server) this degrades to the old fixed `1`.
 fn retry_after_secs(p50_ns: u64, queue_depth: usize) -> u64 {
     let drain_secs = (p50_ns as f64 / 1e9) * queue_depth as f64;
     (drain_secs.ceil() as u64).clamp(1, 30)
 }
+
+/// Most bytes a request line plus its headers may take; a longer head
+/// answers `431` without being read further.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
+/// Most header lines a request may carry; more answer `431`.
+const MAX_HEADERS: usize = 100;
 
 /// One parsed request `(method, path, body, traceparent)`, or the error
 /// response it should get.
 type ReadOutcome = Result<(String, String, String, Option<String>), (&'static str, String)>;
 
 /// Reads a request (line, headers, `Content-Length`-framed body) off any
-/// buffered reader. Returns `Err((status, json_body))` for framing
-/// problems the caller should answer directly.
+/// buffered reader, never more than [`MAX_HEAD_BYTES`] of head. Returns
+/// `Err((status, json_body))` for framing problems the caller should
+/// answer directly.
 fn read_request<R: BufRead>(reader: &mut R, max_body_bytes: usize) -> std::io::Result<ReadOutcome> {
+    let too_large = || -> std::io::Result<ReadOutcome> {
+        Ok(Err((
+            "431 Request Header Fields Too Large",
+            error_body(
+                "header_too_large",
+                &format!(
+                    "request head exceeds {MAX_HEAD_BYTES} bytes or {MAX_HEADERS} header lines"
+                ),
+                false,
+            ),
+        )))
+    };
+    let mut head = (&mut *reader).take(MAX_HEAD_BYTES);
+    // A line cut off by the cap (no newline, cap spent) means the head is
+    // over it; a line cut off with cap to spare is the client's EOF.
+    let mut read_line = |line: &mut String| -> std::io::Result<bool> {
+        line.clear();
+        head.read_line(line)?;
+        Ok(head.limit() == 0 && !line.ends_with('\n'))
+    };
+
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    if read_line(&mut request_line)? {
+        return too_large();
+    }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -471,10 +495,15 @@ fn read_request<R: BufRead>(reader: &mut R, max_body_bytes: usize) -> std::io::R
     let mut bad_length = false;
     let mut traceparent: Option<String> = None;
     let mut header = String::new();
-    loop {
-        header.clear();
-        if reader.read_line(&mut header)? <= 2 {
+    for headers in 0.. {
+        if read_line(&mut header)? {
+            return too_large();
+        }
+        if header.len() <= 2 {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return too_large();
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -897,5 +926,32 @@ mod tests {
             (method.as_str(), path.as_str(), body.as_str()),
             ("GET", "/v1/healthz", "")
         );
+    }
+
+    #[test]
+    fn read_request_caps_the_head() {
+        let long_line = format!(
+            "GET /v1/healthz HTTP/1.1\r\nX-Big: {}\r\n\r\n",
+            "a".repeat(1 << 20)
+        );
+        let many_headers = format!(
+            "GET /v1/healthz HTTP/1.1\r\n{}\r\n",
+            "X: y\r\n".repeat(10_000)
+        );
+        for raw in [long_line, many_headers] {
+            let mut reader = std::io::Cursor::new(raw.as_bytes());
+            let (status, body) = read_request(&mut reader, 1024).unwrap().unwrap_err();
+            assert!(status.starts_with("431"), "{status}");
+            assert!(body.contains("header_too_large"));
+            assert!(reader.position() <= MAX_HEAD_BYTES, "read past the cap");
+        }
+
+        // A head that ends exactly at the cap is still whole.
+        let line = "GET /v1/healthz HTTP/1.1\r\n";
+        let pad = MAX_HEAD_BYTES as usize - line.len() - "X: \r\n\r\n".len();
+        let raw = format!("{line}X: {}\r\n\r\n", "a".repeat(pad));
+        let mut reader = std::io::Cursor::new(raw.as_bytes());
+        let (_, path, _, _) = read_request(&mut reader, 1024).unwrap().unwrap();
+        assert_eq!(path, "/v1/healthz");
     }
 }

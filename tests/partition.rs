@@ -58,12 +58,24 @@ fn assert_identical(context: &str, baseline: &[Answer], partitioned: &[Answer]) 
     }
 }
 
+/// Posting entries decoded so far, summed over every partition.
+fn posting_entries(system: &TrexSystem) -> u64 {
+    system
+        .system()
+        .parts()
+        .iter()
+        .map(|p| p.index().counters().snapshot().posting_entries)
+        .sum()
+}
+
 /// The paper's seven queries, each against its own collection, at
 /// partition counts 1, 2 and 4 — plus a one-member `.p0` family as the
-/// parent commit wrote them: answers must be byte-identical to the
-/// single-store build, for several k values including `None` (everything),
-/// and one partition must report the strategy's own stats, never a
-/// one-element scatter.
+/// parent commit wrote them: forced-ERA answers must be byte-identical to
+/// the single-store build, for several k values including `None`
+/// (everything), one partition must report the strategy's own stats, never
+/// a one-element scatter, and the partitions' posting decodes must sum
+/// exactly to the single store's (routing puts each posting in exactly one
+/// partition, and ERA decodes every posting of every query term once).
 #[test]
 fn paper_queries_are_byte_identical_across_partition_counts() {
     for (collection, docs, alias) in [
@@ -96,13 +108,21 @@ fn paper_queries_are_byte_identical_across_partition_counts() {
 
             for query in PAPER_QUERIES.iter().filter(|q| q.collection == collection) {
                 for k in [Some(1), Some(5), Some(20), None] {
-                    let want = single.search(query.nexi, k).unwrap();
-                    let got = system.search(query.nexi, k).unwrap();
+                    let single_before = posting_entries(&single);
+                    let want = single.search_with(query.nexi, k, Strategy::Era).unwrap();
+                    let single_decoded = posting_entries(&single) - single_before;
+                    let parts_before = posting_entries(&system);
+                    let got = system.search_with(query.nexi, k, Strategy::Era).unwrap();
                     let context = format!(
                         "{collection:?} topic {} k={k:?} partitions={partitions}",
                         query.id
                     );
                     assert_identical(&context, &want.answers, &got.answers);
+                    assert_eq!(
+                        posting_entries(&system) - parts_before,
+                        single_decoded,
+                        "{context}: per-partition posting decodes"
+                    );
                     assert_eq!(
                         want.total_answers, got.total_answers,
                         "{context}: total_answers"

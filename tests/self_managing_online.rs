@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use trex::corpus::{CorpusConfig, IeeeGenerator};
 use trex::{
     reconcile_once, CostCache, EvalOptions, ProfilerConfig, QueryEngine, SelfManageOptions,
-    TrexConfig, TrexSystem, Workload, WorkloadProfiler,
+    StrategyStats, TrexConfig, TrexSystem, Workload, WorkloadProfiler,
 };
 
 fn temp(name: &str) -> std::path::PathBuf {
@@ -390,6 +390,81 @@ fn reconcile_with_no_observations_is_a_no_op() {
     assert_eq!(report.lists_dropped, 0);
     assert_eq!(report.lists_materialized, 0);
     assert_eq!(report.bytes_used, before, "lists untouched");
+    std::fs::remove_file(&store).ok();
+}
+
+/// The paper's loop under a moving hot set: a budget that fits one hot
+/// query's cheaper list set but not both, and synchronous `reconcile_once`
+/// cycles between serving batches (what the background thread does on its
+/// interval). Phase A hammers one query, phase B another. Every cycle keeps
+/// list bytes within the budget, phase B both drops and materialises lists,
+/// and in each phase the hot query leaves ERA.
+#[test]
+fn hot_set_shift_moves_lists_within_a_one_shape_budget() {
+    let (system, store) = build("shift", 120);
+    // A short half-life, so phase B's queries overtake phase A's weight
+    // within a couple of batches.
+    let profiler = WorkloadProfiler::new(ProfilerConfig {
+        half_life: Some(16),
+        ..ProfilerConfig::default()
+    });
+    let engine = QueryEngine::new(system.index()).with_profiler(&profiler);
+    let (qa, qb) = (QUERIES[0], QUERIES[2]);
+    let k10 = EvalOptions::new().k(Some(10));
+
+    // Probe cycle at budget 0: the exact list footprint of both shapes,
+    // without materialising anything.
+    for q in [qa, qb] {
+        engine.evaluate(q, k10).unwrap();
+    }
+    let probe = reconcile_once(
+        system.index(),
+        &profiler,
+        &SelfManageOptions::new(0),
+        &mut CostCache::new(),
+    )
+    .unwrap();
+    let per_shape: Vec<u64> = probe
+        .costs
+        .iter()
+        .map(|c| c.s_rpl().min(c.s_erpl()))
+        .collect();
+    let budget = per_shape.iter().max().unwrap() * 13 / 10;
+    assert!(
+        budget < per_shape.iter().sum::<u64>(),
+        "budget {budget} must not fit both shapes ({per_shape:?})"
+    );
+
+    let opts = SelfManageOptions::new(budget);
+    let mut cache = CostCache::new();
+    let mut left_era = [false; 2];
+    let (mut dropped, mut materialized) = (false, false);
+    for (phase, (hot, cold)) in [(qa, qb), (qb, qa)].into_iter().enumerate() {
+        for cycle in 0..6 {
+            for _ in 0..8 {
+                engine.evaluate(hot, k10).unwrap();
+            }
+            engine.evaluate(cold, k10).unwrap();
+            let report = reconcile_once(system.index(), &profiler, &opts, &mut cache).unwrap();
+            assert!(
+                report.bytes_used <= budget,
+                "phase {phase} cycle {cycle}: {} bytes over budget {budget}",
+                report.bytes_used
+            );
+            if phase == 1 {
+                dropped |= report.lists_dropped > 0;
+                materialized |= report.lists_materialized > 0;
+            }
+            let stats = engine.evaluate(hot, k10).unwrap().stats;
+            left_era[phase] |= !matches!(stats, StrategyStats::Era(_));
+        }
+    }
+    assert_eq!(
+        left_era,
+        [true, true],
+        "the hot query leaves ERA in each phase"
+    );
+    assert!(dropped && materialized, "phase B must drop and materialise");
     std::fs::remove_file(&store).ok();
 }
 
