@@ -31,8 +31,8 @@ impl Answer {
     }
 }
 
-/// Sorts answers into ranking order (used by tests and by strategies that
-/// do not use the from-scratch quicksort).
+/// Sorts answers into ranking order (every strategy's final ranking, and
+/// Merge's Fig. 3 line-22 sort).
 pub fn rank(answers: &mut [Answer]) {
     answers.sort_unstable_by(Answer::rank_cmp);
 }

@@ -20,7 +20,7 @@ use trex_index::TrexIndex;
 use crate::answer::{top_k, Answer};
 use crate::era::{era_with_deadline, EraStats};
 use crate::materialize::{erpls_cover, rpls_cover};
-use crate::merge::{merge_with_cancel, MergeStats};
+use crate::merge::{merge_with_deadline, MergeStats};
 use crate::metrics::StrategyMetrics;
 use crate::selfmanage::cost::{
     predicted_merge_accesses, predicted_merge_block_reads, predicted_ta_accesses,
@@ -28,7 +28,7 @@ use crate::selfmanage::cost::{
 };
 use crate::selfmanage::profiler::WorkloadProfiler;
 use crate::serve::Deadline;
-use crate::ta::{ta_with_cancel, TaOptions, TaStats, TA_MAX_TERMS};
+use crate::ta::{ta_with_deadline, TaOptions, TaStats, TA_MAX_TERMS};
 use crate::{Result, TrexError};
 
 /// Which retrieval method to use.
@@ -40,11 +40,6 @@ pub enum Strategy {
     Ta,
     /// Merge over ERPLs.
     Merge,
-    /// Run TA and Merge in parallel and return whichever finishes first,
-    /// cancelling the loser (paper §4: "if the two computations are being
-    /// done in parallel, the system can return the answer from the
-    /// computation that finishes first"). Requires both RPLs and ERPLs.
-    Race,
     /// Pick automatically based on available indexes and k.
     #[default]
     Auto,
@@ -52,7 +47,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// The wire/CLI name of this strategy (`"era"`, `"ta"`, `"merge"`,
-    /// `"race"`, `"auto"`). Inverse of the [`FromStr`] impl.
+    /// `"auto"`). Inverse of the [`FromStr`] impl.
     ///
     /// [`FromStr`]: std::str::FromStr
     pub fn as_str(&self) -> &'static str {
@@ -60,7 +55,6 @@ impl Strategy {
             Strategy::Era => "era",
             Strategy::Ta => "ta",
             Strategy::Merge => "merge",
-            Strategy::Race => "race",
             Strategy::Auto => "auto",
         }
     }
@@ -75,10 +69,9 @@ impl std::str::FromStr for Strategy {
             "era" => Ok(Strategy::Era),
             "ta" => Ok(Strategy::Ta),
             "merge" => Ok(Strategy::Merge),
-            "race" => Ok(Strategy::Race),
             "auto" => Ok(Strategy::Auto),
             other => Err(format!(
-                "unknown strategy {other:?}; expected era, ta, merge, race or auto"
+                "unknown strategy {other:?}; expected era, ta, merge or auto"
             )),
         }
     }
@@ -93,15 +86,6 @@ pub enum StrategyStats {
     Ta(TaStats),
     /// Merge ran.
     Merge(MergeStats),
-    /// TA and Merge raced; `winner` is the stats of the one that finished.
-    Race {
-        /// The method that finished first.
-        won_by: RaceWinner,
-        /// The winner's own statistics.
-        winner: Box<StrategyStats>,
-        /// Wall-clock time of the race (first finish).
-        wall: Duration,
-    },
     /// The query was scattered across a partitioned system and the
     /// per-partition streams k-way merged (see `crate::partition`).
     Scatter {
@@ -117,15 +101,6 @@ pub enum StrategyStats {
     },
 }
 
-/// Which racer finished first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceWinner {
-    /// TA produced the answer first.
-    Ta,
-    /// Merge produced the answer first.
-    Merge,
-}
-
 impl StrategyStats {
     /// Wall-clock time of the evaluation.
     pub fn wall(&self) -> Duration {
@@ -133,26 +108,16 @@ impl StrategyStats {
             StrategyStats::Era(s) => s.wall,
             StrategyStats::Ta(s) => s.wall,
             StrategyStats::Merge(s) => s.wall,
-            StrategyStats::Race { wall, .. } => *wall,
             StrategyStats::Scatter { wall, .. } => *wall,
         }
     }
 
-    /// The strategy that produced these stats, as a trace label
-    /// (`"race(ta)"` names the race's winner).
+    /// The strategy that produced these stats, as a trace label.
     pub fn name(&self) -> &'static str {
         match self {
             StrategyStats::Era(_) => "era",
             StrategyStats::Ta(_) => "ta",
             StrategyStats::Merge(_) => "merge",
-            StrategyStats::Race {
-                won_by: RaceWinner::Ta,
-                ..
-            } => "race(ta)",
-            StrategyStats::Race {
-                won_by: RaceWinner::Merge,
-                ..
-            } => "race(merge)",
             StrategyStats::Scatter { .. } => "scatter",
         }
     }
@@ -541,7 +506,6 @@ impl<'a> QueryEngine<'a> {
             Strategy::Era => "evaluate:era",
             Strategy::Ta => "evaluate:ta",
             Strategy::Merge => "evaluate:merge",
-            Strategy::Race => "evaluate:race",
             Strategy::Auto => unreachable!("resolved above"),
         });
         let mut rank_time = Duration::ZERO;
@@ -563,15 +527,13 @@ impl<'a> QueryEngine<'a> {
                 let rpls = self.index.rpls()?;
                 let mut ta_opts = TaOptions::new(k);
                 ta_opts.measure_heap = opts.measure_heap;
-                let (answers, stats) = ta_with_cancel(&rpls, sids, terms, ta_opts, None, deadline)?
-                    .expect("uncancelled run completes");
+                let (answers, stats) = ta_with_deadline(&rpls, sids, terms, ta_opts, deadline)?;
                 let total = answers.len();
                 (answers, total, StrategyStats::Ta(stats))
             }
             Strategy::Merge => {
                 let erpls = self.index.erpls()?;
-                let (mut answers, stats) = merge_with_cancel(&erpls, sids, terms, None, deadline)?
-                    .expect("uncancelled run completes");
+                let (mut answers, stats) = merge_with_deadline(&erpls, sids, terms, deadline)?;
                 let total = answers.len();
                 let rank_started = Instant::now();
                 if let Some(k) = opts.k {
@@ -580,7 +542,6 @@ impl<'a> QueryEngine<'a> {
                 rank_time = rank_started.elapsed();
                 (answers, total, StrategyStats::Merge(stats))
             }
-            Strategy::Race => self.run_race(sids, terms, opts, deadline)?,
             Strategy::Auto => unreachable!("resolved above"),
         };
 
@@ -614,13 +575,9 @@ impl<'a> QueryEngine<'a> {
                 }
                 answers = top_k(answers, opts.k.unwrap_or(usize::MAX));
                 total = match &stats {
-                    // TA (and a race it won) reports only what it returned;
-                    // keep that convention for the combined result.
-                    StrategyStats::Ta(_)
-                    | StrategyStats::Race {
-                        won_by: RaceWinner::Ta,
-                        ..
-                    } => answers.len(),
+                    // TA reports only what it returned; keep that convention
+                    // for the combined result.
+                    StrategyStats::Ta(_) => answers.len(),
                     _ => total + added,
                 };
             }
@@ -666,7 +623,6 @@ impl<'a> QueryEngine<'a> {
             StrategyStats::Era(_) => &timers.era_eval,
             StrategyStats::Ta(_) => &timers.ta_eval,
             StrategyStats::Merge(_) => &timers.merge_eval,
-            StrategyStats::Race { .. } => &timers.race_eval,
             // Scatter stats are assembled in `crate::partition` from
             // per-partition results; they never come out of a single
             // engine's evaluation.
@@ -742,14 +698,7 @@ impl<'a> QueryEngine<'a> {
         match strategy {
             Strategy::Ta => {
                 let rpls = self.index.rpls()?;
-                let mut lists = Vec::new();
-                for &term in terms {
-                    for &sid in sids {
-                        if let Some(s) = rpls.list_stats(term, sid)? {
-                            lists.push((s.entries, s.blocks));
-                        }
-                    }
-                }
+                let lists = list_sizes(sids, terms, |t, s| rpls.list_stats(t, s))?;
                 if lists.is_empty() {
                     return Ok(());
                 }
@@ -767,14 +716,7 @@ impl<'a> QueryEngine<'a> {
             }
             Strategy::Merge => {
                 let erpls = self.index.erpls()?;
-                let mut lists = Vec::new();
-                for &term in terms {
-                    for &sid in sids {
-                        if let Some(s) = erpls.list_stats(term, sid)? {
-                            lists.push((s.entries, s.blocks));
-                        }
-                    }
-                }
+                let lists = list_sizes(sids, terms, |t, s| erpls.list_stats(t, s))?;
                 if lists.is_empty() {
                     return Ok(());
                 }
@@ -813,29 +755,13 @@ impl<'a> QueryEngine<'a> {
         let gate = self.index.maintenance().enter_read();
         let ta_lists = if rpls_cover(self.index, &sids, &terms)? {
             let rpls = self.index.rpls()?;
-            let mut lists = Vec::new();
-            for &term in &terms {
-                for &sid in &sids {
-                    if let Some(s) = rpls.list_stats(term, sid)? {
-                        lists.push((s.entries, s.blocks));
-                    }
-                }
-            }
-            Some(lists)
+            Some(list_sizes(&sids, &terms, |t, s| rpls.list_stats(t, s))?)
         } else {
             None
         };
         let merge_lists = if erpls_cover(self.index, &sids, &terms)? {
             let erpls = self.index.erpls()?;
-            let mut lists = Vec::new();
-            for &term in &terms {
-                for &sid in &sids {
-                    if let Some(s) = erpls.list_stats(term, sid)? {
-                        lists.push((s.entries, s.blocks));
-                    }
-                }
-            }
-            Some(lists)
+            Some(list_sizes(&sids, &terms, |t, s| erpls.list_stats(t, s))?)
         } else {
             None
         };
@@ -919,105 +845,6 @@ impl<'a> QueryEngine<'a> {
         Ok((answers, stats))
     }
 
-    /// TA vs Merge, in parallel, first finisher wins and cancels the other.
-    fn run_race(
-        &self,
-        sids: &[trex_summary::Sid],
-        terms: &[trex_text::TermId],
-        opts: EvalOptions,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, usize, StrategyStats)> {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let started = std::time::Instant::now();
-        let cancel = AtomicBool::new(false);
-        let k = opts.k.unwrap_or(usize::MAX);
-        let mut ta_opts = TaOptions::new(k);
-        ta_opts.measure_heap = opts.measure_heap;
-
-        type RaceResult = (Vec<Answer>, usize, StrategyStats);
-        type RaceOutcome = Result<Option<RaceResult>>;
-        let (tx, rx) = crossbeam::channel::bounded::<(RaceWinner, RaceOutcome)>(2);
-
-        let outcome = crossbeam::thread::scope(|scope| {
-            let cancel = &cancel;
-            let index = self.index;
-            {
-                let tx = tx.clone();
-                scope.spawn(move |_| {
-                    let run = || -> RaceOutcome {
-                        let rpls = index.rpls()?;
-                        Ok(
-                            ta_with_cancel(&rpls, sids, terms, ta_opts, Some(cancel), deadline)?
-                                .map(|(answers, stats)| {
-                                    let total = answers.len();
-                                    (answers, total, StrategyStats::Ta(stats))
-                                }),
-                        )
-                    };
-                    let _ = tx.send((RaceWinner::Ta, run()));
-                });
-            }
-            let merge_tx = tx.clone();
-            scope.spawn(move |_| {
-                let run = || -> RaceOutcome {
-                    let erpls = index.erpls()?;
-                    Ok(
-                        merge_with_cancel(&erpls, sids, terms, Some(cancel), deadline)?.map(
-                            |(mut answers, stats)| {
-                                let total = answers.len();
-                                if let Some(k) = opts.k {
-                                    answers.truncate(k);
-                                }
-                                (answers, total, StrategyStats::Merge(stats))
-                            },
-                        ),
-                    )
-                };
-                let _ = merge_tx.send((RaceWinner::Merge, run()));
-            });
-            drop(tx);
-
-            // Take the first completed (non-cancelled) run; cancel the other.
-            let mut first: Option<(RaceWinner, RaceResult)> = None;
-            let mut first_error: Option<TrexError> = None;
-            for (who, outcome) in rx.iter() {
-                match outcome {
-                    Ok(Some(result)) => {
-                        if first.is_none() {
-                            cancel.store(true, Ordering::Relaxed);
-                            first = Some((who, result));
-                        }
-                    }
-                    Ok(None) => {} // cancelled loser
-                    Err(e) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
-            }
-            match (first, first_error) {
-                (Some(win), _) => Ok(win),
-                (None, Some(e)) => Err(e),
-                (None, None) => Err(TrexError::MissingIndex("race produced no result".into())),
-            }
-        })
-        .expect("scoped race threads");
-
-        let (won_by, (answers, total, winner_stats)) = outcome?;
-        Ok((
-            answers,
-            total,
-            StrategyStats::Race {
-                won_by,
-                winner: Box::new(winner_stats),
-                wall: started.elapsed(),
-            },
-        ))
-    }
-
     fn resolve_strategy(
         &self,
         opts: EvalOptions,
@@ -1068,20 +895,32 @@ impl<'a> QueryEngine<'a> {
                 }
                 Ok(Strategy::Merge)
             }
-            Strategy::Race => {
-                if !rpls_cover(self.index, sids, terms)? {
-                    return Err(TrexError::MissingIndex(
-                        "Race requires the query's RPL lists; materialise them first".into(),
-                    ));
-                }
-                if !erpls_cover(self.index, sids, terms)? {
-                    return Err(TrexError::MissingIndex(
-                        "Race requires the query's ERPL lists; materialise them first".into(),
-                    ));
-                }
-                Ok(Strategy::Race)
-            }
             Strategy::Era => Ok(Strategy::Era),
         }
     }
+}
+
+/// The `(entries, blocks)` of every materialised `(term, sid)` list of one
+/// family (`list_stats` is [`RplTable::list_stats`] or
+/// [`ErplTable::list_stats`]), term-major — the §4 cost model's inputs.
+///
+/// [`RplTable::list_stats`]: trex_index::RplTable::list_stats
+/// [`ErplTable::list_stats`]: trex_index::ErplTable::list_stats
+fn list_sizes(
+    sids: &[trex_summary::Sid],
+    terms: &[trex_text::TermId],
+    list_stats: impl Fn(
+        trex_text::TermId,
+        trex_summary::Sid,
+    ) -> trex_storage::Result<Option<trex_index::ListStats>>,
+) -> Result<Vec<(u64, u64)>> {
+    let mut lists = Vec::new();
+    for &term in terms {
+        for &sid in sids {
+            if let Some(s) = list_stats(term, sid)? {
+                lists.push((s.entries, s.blocks));
+            }
+        }
+    }
+    Ok(lists)
 }

@@ -18,7 +18,6 @@ pub mod materialize;
 pub mod merge;
 pub mod metrics;
 pub mod partition;
-pub mod qsort;
 mod scoped;
 pub mod selfmanage;
 pub mod serve;
@@ -34,22 +33,19 @@ use std::fmt;
 pub use trex_obs as obs;
 
 pub use answer::{rank, top_k, Answer};
-pub use engine::{
-    EvalOptions, Explain, QueryEngine, QueryResult, RaceWinner, Strategy, StrategyStats,
-};
+pub use engine::{EvalOptions, Explain, QueryEngine, QueryResult, Strategy, StrategyStats};
 pub use era::{era, era_with_deadline, EraMatch, EraStats};
 pub use heap::{HeapClock, HeapPolicy, TopKHeap};
 pub use ingest::{fold_once, FoldManager, FoldOptions, FoldReport};
 pub use materialize::{
     collect_lists, erpls_cover, materialize, materialize_batch, rpls_cover, ListKind, ScoredLists,
 };
-pub use merge::{merge, merge_with_cancel, MergeStats};
+pub use merge::{merge, merge_with_deadline, MergeStats};
 pub use metrics::StrategyMetrics;
 pub use partition::{
     merge_topk, partition_store_path, reconcile_partitioned, split_budget, Partition,
     PartitionBudget, PartitionedCycle, PartitionedSystem,
 };
-pub use qsort::quicksort;
 pub use selfmanage::cost::{
     predicted_merge_accesses, predicted_ta_accesses, CostValidation, TA_PREDICTION_FACTOR,
 };
@@ -62,7 +58,7 @@ pub use serve::{
     normalize_nexi, parse_query_request, CacheKey, CacheStatus, CachedResult, Deadline,
     QueryRequest, QueryResponse, QueryService, ResultCache, WireError, DEFAULT_CACHE_ENTRIES,
 };
-pub use ta::{ta, ta_with_cancel, TaOptions, TaStats, TA_MAX_TERMS};
+pub use ta::{ta, ta_with_deadline, TaOptions, TaStats, TA_MAX_TERMS};
 pub use worker::BackgroundWorker;
 
 /// Errors from query evaluation.

@@ -8,15 +8,13 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use trex_index::{ErplTable, Position, RplEntry};
 use trex_summary::Sid;
 use trex_text::TermId;
 
-use crate::answer::Answer;
-use crate::qsort::quicksort;
+use crate::answer::{rank, Answer};
 use crate::serve::deadline::{Deadline, CHECK_INTERVAL};
 use crate::Result;
 
@@ -25,7 +23,7 @@ use crate::Result;
 pub struct MergeStats {
     /// Wall-clock time (includes the final sort).
     pub wall: Duration,
-    /// Time of the final QuickSort alone.
+    /// Time of the final sort alone.
     pub sort_time: Duration,
     /// ERPL entries read.
     pub entries_read: u64,
@@ -43,24 +41,18 @@ pub fn merge(
     sids: &[Sid],
     terms: &[TermId],
 ) -> Result<(Vec<Answer>, MergeStats)> {
-    Ok(
-        merge_with_cancel(erpls, sids, terms, None, Deadline::none())?
-            .expect("uncancelled run completes"),
-    )
+    merge_with_deadline(erpls, sids, terms, Deadline::none())
 }
 
-/// Like [`merge`], but aborts (returning `Ok(None)`) as soon as `cancel` is
-/// set — checked every [`CHECK_INTERVAL`] merged elements, alongside the
-/// cooperative [`Deadline`] (whose expiry fails with
-/// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded)
-/// instead). Used by the engine's race mode and the serving layer.
-pub fn merge_with_cancel(
+/// Like [`merge`], but polls the [`Deadline`] every [`CHECK_INTERVAL`]
+/// merged elements; an expired run fails with
+/// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded).
+pub fn merge_with_deadline(
     erpls: &ErplTable,
     sids: &[Sid],
     terms: &[TermId],
-    cancel: Option<&AtomicBool>,
     deadline: Deadline,
-) -> Result<Option<(Vec<Answer>, MergeStats)>> {
+) -> Result<(Vec<Answer>, MergeStats)> {
     let start = Instant::now();
     let mut stats = MergeStats::default();
 
@@ -119,23 +111,18 @@ pub fn merge_with_cancel(
         answers.push(combined);
         stats.merged_elements += 1;
         if stats.merged_elements % CHECK_INTERVAL == 0 {
-            if let Some(flag) = cancel {
-                if flag.load(Ordering::Relaxed) {
-                    return Ok(None);
-                }
-            }
             deadline.check()?;
         }
     }
 
-    // Line 22: sort V using QuickSort (descending score, stable tiebreak).
+    // Line 22: sort V by descending score (pattern-defeating QuickSort;
+    // `rank_cmp`'s (element, sid) tiebreak is a total order here because
+    // each element is emitted once).
     let sort_start = Instant::now();
-    quicksort(&mut answers, |a, b| {
-        a.score > b.score || (a.score == b.score && (a.element, a.sid) < (b.element, b.sid))
-    });
+    rank(&mut answers);
     stats.sort_time = sort_start.elapsed();
     stats.wall = start.elapsed();
-    Ok(Some((answers, stats)))
+    Ok((answers, stats))
 }
 
 type IterState<'a> = (trex_index::ErplIter<'a>, Option<RplEntry>);

@@ -101,7 +101,6 @@ impl StrategyMetrics for MergeStats {
 }
 
 impl StrategyMetrics for StrategyStats {
-    /// For a race this is the race wall (first finish), not the winner's own.
     fn wall(&self) -> Duration {
         StrategyStats::wall(self)
     }
@@ -113,7 +112,6 @@ impl StrategyMetrics for StrategyStats {
             StrategyStats::Era(s) => s.accesses(),
             StrategyStats::Ta(s) => s.accesses(),
             StrategyStats::Merge(s) => s.accesses(),
-            StrategyStats::Race { winner, .. } => winner.accesses(),
             StrategyStats::Scatter { per_part, .. } => per_part
                 .iter()
                 .map(StrategyMetrics::accesses)
@@ -126,7 +124,6 @@ impl StrategyMetrics for StrategyStats {
             StrategyStats::Era(s) => s.candidates(),
             StrategyStats::Ta(s) => s.candidates(),
             StrategyStats::Merge(s) => s.candidates(),
-            StrategyStats::Race { winner, .. } => winner.candidates(),
             StrategyStats::Scatter { per_part, .. } => {
                 per_part.iter().map(StrategyMetrics::candidates).sum()
             }
@@ -138,7 +135,6 @@ impl StrategyMetrics for StrategyStats {
             StrategyStats::Era(s) => s.cost_units(),
             StrategyStats::Ta(s) => s.cost_units(),
             StrategyStats::Merge(s) => s.cost_units(),
-            StrategyStats::Race { winner, .. } => winner.cost_units(),
             StrategyStats::Scatter { per_part, .. } => per_part
                 .iter()
                 .map(StrategyMetrics::cost_units)
@@ -190,17 +186,5 @@ mod tests {
         };
         assert_eq!(s.accesses(), (500, 7));
         assert_eq!(s.cost_units().random_accesses, 7);
-    }
-
-    #[test]
-    fn race_delegates_to_winner() {
-        let race = StrategyStats::Race {
-            won_by: crate::engine::RaceWinner::Ta,
-            winner: Box::new(StrategyStats::Ta(ta_stats())),
-            wall: Duration::from_millis(3),
-        };
-        assert_eq!(StrategyMetrics::wall(&race), Duration::from_millis(3));
-        assert_eq!(race.accesses(), (100, 0));
-        assert_eq!(race.cost_units().candidates_peak, 12);
     }
 }

@@ -50,7 +50,7 @@ use crate::scoped::run_scoped;
 use crate::selfmanage::{
     reconcile_once, CostCache, ReconcileReport, SelfManageOptions, WorkloadProfiler,
 };
-use crate::{RaceWinner, Result};
+use crate::Result;
 
 /// The store path of partition `i` for a system whose single-store path
 /// would be `base`: `base` with `.p{i}` appended (`corpus.trex` →
@@ -296,16 +296,9 @@ pub fn merge_topk(streams: &[Vec<Answer>], k: Option<usize>) -> Vec<Answer> {
 fn merge_results(per_part: Vec<QueryResult>, opts: EvalOptions, wall: Duration) -> QueryResult {
     let streams: Vec<Vec<Answer>> = per_part.iter().map(|r| r.answers.clone()).collect();
     let answers = merge_topk(&streams, opts.k);
-    let any_ta = per_part.iter().any(|r| {
-        matches!(
-            r.stats,
-            StrategyStats::Ta(_)
-                | StrategyStats::Race {
-                    won_by: RaceWinner::Ta,
-                    ..
-                }
-        )
-    });
+    let any_ta = per_part
+        .iter()
+        .any(|r| matches!(r.stats, StrategyStats::Ta(_)));
     let total_answers = if any_ta {
         answers.len()
     } else {

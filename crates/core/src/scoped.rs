@@ -52,33 +52,31 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, Result<T>)>(n);
-    let results = crossbeam::thread::scope(|scope| {
-        let cursor = &cursor;
-        let run_caught = &run_caught;
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move |_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send((i, run_caught(i))).is_err() {
-                    break;
-                }
-            });
+    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, run_caught(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            // Items catch their own panics, so a worker never unwinds.
+            for (i, result) in handle.join().expect("worker catches item panics") {
+                slots[i] = Some(result);
+            }
         }
-        drop(tx);
+    });
 
-        let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-        }
-        slots
-    })
-    .expect("scoped batch threads");
-
-    results
+    slots
         .into_iter()
         .map(|slot| slot.expect("every item claimed exactly once"))
         .collect()

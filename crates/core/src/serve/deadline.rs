@@ -3,12 +3,11 @@
 //! A [`Deadline`] is a point in time the strategies agree to respect: the
 //! ERA sweep, TA's sorted-access loop, and Merge's heap loop each call
 //! [`Deadline::check`] at their iteration boundaries (every
-//! [`CHECK_INTERVAL`] units of work, alongside the existing race-cancel
-//! checks), so an over-budget query stops within one check window and
-//! returns [`TrexError::DeadlineExceeded`] instead of holding a worker —
-//! and the maintenance read gate — for an unbounded time. There is no
-//! preemption: a deadline only fires where a strategy polls it, which is
-//! exactly the granularity the race-cancel flags already established.
+//! [`CHECK_INTERVAL`] units of work), so an over-budget query stops within
+//! one check window and returns [`TrexError::DeadlineExceeded`] instead of
+//! holding a worker — and the maintenance read gate — for an unbounded
+//! time. There is no preemption: a deadline only fires where a strategy
+//! polls it.
 
 use std::time::{Duration, Instant};
 

@@ -167,7 +167,7 @@ pub struct QueryResponse {
     /// [`QueryResult::total_answers`](crate::QueryResult::total_answers)).
     pub total_answers: usize,
     /// The strategy that produced the answers (trace label, e.g.
-    /// `"merge"`, `"race(ta)"`; `"cache"` never appears — cached responses
+    /// `"merge"`, `"scatter"`; `"cache"` never appears — cached responses
     /// report the strategy that originally computed them).
     pub strategy: String,
     /// The maintenance generation the answers are valid for.
@@ -277,7 +277,7 @@ mod tests {
                 score: 1.5,
             }],
             total_answers: 12,
-            strategy: "race(ta)".into(),
+            strategy: "ta".into(),
             generation: 42,
             cache: CacheStatus::Hit,
             server_time: Duration::from_micros(250),
@@ -288,7 +288,7 @@ mod tests {
         assert!(json
             .contains("\"answers\":[{\"doc\":3,\"start\":6,\"end\":9,\"sid\":7,\"score\":1.5}]"));
         assert!(json.contains("\"total_answers\":12"));
-        assert!(json.contains("\"strategy\":\"race(ta)\""));
+        assert!(json.contains("\"strategy\":\"ta\""));
         assert!(json.contains("\"generation\":42"));
         assert!(json.contains("\"cache\":\"hit\""));
         assert!(json.contains("\"server_time_us\":250"));

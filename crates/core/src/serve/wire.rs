@@ -49,7 +49,7 @@ impl std::error::Error for WireError {}
 ///
 /// Field semantics: `nexi` (string, required); `k` (non-negative integer;
 /// absent → [`DEFAULT_K`](crate::serve::request::DEFAULT_K), `null` → all
-/// answers); `strategy` (string, one of `era|ta|merge|race|auto`);
+/// answers); `strategy` (string, one of `auto|era|ta|merge`);
 /// `interpretation` (string, `strict|vague`); `trace` (bool);
 /// `deadline_ms` (non-negative integer). Unknown fields are ignored.
 pub fn parse_query_request(body: &str) -> Result<QueryRequest, WireError> {
@@ -177,7 +177,7 @@ mod tests {
     fn full_body_round_trips() {
         let req = QueryRequest::new("//a//s[about(., \"quoted phrase\")]")
             .k(Some(25))
-            .strategy(Strategy::Race)
+            .strategy(Strategy::Merge)
             .interpretation(Interpretation::Strict)
             .trace(true)
             .deadline_ms(125);
@@ -224,6 +224,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_query_request(r#"{"nexi": "//a", "strategy": "warp"}"#),
+            Err(WireError::BadField("strategy", _))
+        ));
+        assert!(matches!(
+            parse_query_request(r#"{"nexi": "//a", "strategy": "race"}"#),
             Err(WireError::BadField("strategy", _))
         ));
         assert!(matches!(

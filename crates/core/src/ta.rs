@@ -12,7 +12,6 @@
 //! heap") time of §5.2 can be derived as `wall - heap_time`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use trex_index::{ElementRef, RplTable};
@@ -114,28 +113,19 @@ pub fn ta(
     terms: &[TermId],
     opts: TaOptions,
 ) -> Result<(Vec<Answer>, TaStats)> {
-    Ok(
-        ta_with_cancel(rpls, sids, terms, opts, None, Deadline::none())?
-            .expect("uncancelled run completes"),
-    )
+    ta_with_deadline(rpls, sids, terms, opts, Deadline::none())
 }
 
-/// Like [`ta`], but aborts (returning `Ok(None)`) as soon as `cancel` is
-/// set. Used by the engine's race mode (paper §4: run TA and Merge in
-/// parallel and "return the answer from the computation that finishes
-/// first") — the loser is cancelled instead of running to completion.
-/// The [`Deadline`] is polled every [`CHECK_INTERVAL`] sorted accesses; an
-/// expired run fails with
-/// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded)
-/// (distinct from cancellation's `Ok(None)`).
-pub fn ta_with_cancel(
+/// Like [`ta`], but polls the [`Deadline`] every [`CHECK_INTERVAL`] sorted
+/// accesses; an expired run fails with
+/// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded).
+pub fn ta_with_deadline(
     rpls: &RplTable,
     sids: &[Sid],
     terms: &[TermId],
     opts: TaOptions,
-    cancel: Option<&AtomicBool>,
     deadline: Deadline,
-) -> Result<Option<(Vec<Answer>, TaStats)>> {
+) -> Result<(Vec<Answer>, TaStats)> {
     if terms.len() > TA_MAX_TERMS {
         // `1 << j` on the u64 mask would shift out of range for term 64:
         // a debug panic, or a silently wrapped mask (wrong top-k) in
@@ -146,7 +136,7 @@ pub fn ta_with_cancel(
         )));
     }
     if opts.k == 0 {
-        return Ok(Some((Vec::new(), TaStats::default())));
+        return Ok((Vec::new(), TaStats::default()));
     }
     let start = Instant::now();
     let n = terms.len();
@@ -181,11 +171,6 @@ pub fn ta_with_cancel(
     let mut last_deadline_check = 0u64;
 
     let result = 'outer: loop {
-        if let Some(flag) = cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-        }
         // Deadline poll on its own (coarser) cadence: one clock read per
         // CHECK_INTERVAL sorted accesses, independent of the
         // stopping-condition cadence — a single-term query must not read
@@ -253,7 +238,7 @@ pub fn ta_with_cancel(
     stats.heap_ops = topk.op_counts();
     stats.read_entire_lists = done.iter().all(|&d| d);
     stats.wall = start.elapsed();
-    Ok(Some((result, stats)))
+    Ok((result, stats))
 }
 
 fn best_of(c: &Candidate, high: &[f32], full_mask: u64) -> f32 {

@@ -373,8 +373,6 @@ histogram_group! {
         ta_eval,
         /// Merge strategy evaluation.
         merge_eval,
-        /// Race (TA ∥ Merge) evaluation.
-        race_eval,
     }
 }
 

@@ -59,7 +59,7 @@ usage:
   trex build <store.db> --dir <xml-dir> [--threads N] [--partitions N] [--store-docs] [--checkpoint-every N]
   trex build <store.db> --synthetic ieee|wiki --docs N [--threads N] [--partitions N] [--store-docs] [--checkpoint-every N]
   trex info <store.db>
-  trex query <store.db> \"<nexi>\" [-k N] [--strategy auto|era|ta|merge|race] [--snippets]
+  trex query <store.db> \"<nexi>\" [-k N] [--strategy auto|era|ta|merge] [--snippets]
   trex explain <store.db> \"<nexi>\" [-k N]
   trex materialize <store.db> \"<nexi>\" [--kind both|rpl|erpl]
   trex advise <store.db> --workload <file> --budget <bytes> [--method greedy|lp]
@@ -281,10 +281,6 @@ fn query(args: &[String]) -> Result<(), String> {
         trex::StrategyStats::Era(_) => "ERA",
         trex::StrategyStats::Ta(_) => "TA",
         trex::StrategyStats::Merge(_) => "Merge",
-        trex::StrategyStats::Race { won_by, .. } => match won_by {
-            trex::RaceWinner::Ta => "Race (TA won)",
-            trex::RaceWinner::Merge => "Race (Merge won)",
-        },
         trex::StrategyStats::Scatter { .. } => "Scatter",
     };
     eprintln!(
@@ -572,12 +568,13 @@ fn serve(args: &[String]) -> Result<(), String> {
             let server = system
                 .serve_http(addr, http_config.clone())
                 .map_err(|e| format!("cannot bind http endpoint {addr}: {e}"))?;
+            let config = server.config();
             eprintln!(
                 "http: serving on {} ({} workers, queue depth {}, cache {})",
                 server.addr(),
-                http_config.workers.max(1),
-                http_config.queue_depth,
-                if http_config.cache { "on" } else { "off" },
+                config.workers,
+                config.queue_depth,
+                if config.cache { "on" } else { "off" },
             );
             Some(server)
         }

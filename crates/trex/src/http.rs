@@ -56,9 +56,11 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use trex_core::obs::{parse_traceparent, MetricsRegistry, ServeMetrics, TraceContext};
 use trex_core::serve::error_body;
 use trex_core::{parse_query_request, QueryService, TrexError};
@@ -254,10 +256,11 @@ fn unversioned(path: &str) -> &str {
 /// Configuration of the [`HttpServer`] front end.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
-    /// Worker threads draining the admission queue (default 4).
+    /// Worker threads draining the admission queue (default 4; `0` is
+    /// treated as `1`).
     pub workers: usize,
     /// Admission-queue depth; connections beyond it are shed with `429`
-    /// (default 64).
+    /// (default 64; `0` is treated as `1`).
     pub queue_depth: usize,
     /// Largest accepted request body in bytes; larger bodies answer `413`
     /// (default 64 KiB).
@@ -292,6 +295,7 @@ impl Default for HttpServerConfig {
 /// [`stop`]: HttpServer::stop
 pub struct HttpServer {
     addr: SocketAddr,
+    config: HttpServerConfig,
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -306,8 +310,10 @@ impl HttpServer {
     pub fn start(
         addr: &str,
         system: &TrexSystem,
-        config: HttpServerConfig,
+        mut config: HttpServerConfig,
     ) -> std::io::Result<HttpServer> {
+        config.workers = config.workers.max(1);
+        config.queue_depth = config.queue_depth.max(1);
         let target = system.system().clone();
         let cache = config.cache.then(|| system.result_cache().clone());
         let serve = system.serve_metrics().clone();
@@ -316,11 +322,11 @@ impl HttpServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
-        let workers_n = config.workers.max(1);
-        let (tx, rx) = crossbeam::channel::bounded::<(TcpStream, Instant)>(config.queue_depth);
+        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(config.queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
 
-        let mut workers = Vec::with_capacity(workers_n);
-        for i in 0..workers_n {
+        let mut workers = Vec::with_capacity(config.workers);
+        for i in 0..config.workers {
             let rx = rx.clone();
             let target = target.clone();
             let cache = cache.clone();
@@ -335,7 +341,12 @@ impl HttpServer {
                         if let Some(cache) = &cache {
                             service = service.with_cache(cache.clone());
                         }
-                        while let Ok((stream, enqueued)) = rx.recv() {
+                        loop {
+                            // The lock is released at the end of this
+                            // statement, before the request is handled.
+                            let Ok((stream, enqueued)) = rx.lock().recv() else {
+                                break;
+                            };
                             serve.queue_depth.decr();
                             serve.timers.queue_wait.record_duration(enqueued.elapsed());
                             let _ = handle_conn(stream, &service, &registry, &config, enqueued);
@@ -358,6 +369,7 @@ impl HttpServer {
 
         Ok(HttpServer {
             addr,
+            config,
             stop,
             acceptor: Some(acceptor),
             workers,
@@ -367,6 +379,12 @@ impl HttpServer {
     /// The bound address (the actual port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The configuration in effect, with `workers` and `queue_depth`
+    /// raised to at least 1.
+    pub fn config(&self) -> &HttpServerConfig {
+        &self.config
     }
 
     /// Stops the acceptor and workers, waiting for in-flight requests.
@@ -399,7 +417,7 @@ impl Drop for HttpServer {
 
 fn accept_loop(
     listener: TcpListener,
-    tx: crossbeam::channel::Sender<(TcpStream, Instant)>,
+    tx: SyncSender<(TcpStream, Instant)>,
     serve: Arc<ServeMetrics>,
     stop: Arc<AtomicBool>,
     io_timeout: Duration,
@@ -417,7 +435,7 @@ fn accept_loop(
                 serve.counters.admitted.incr();
                 serve.queue_depth.incr();
             }
-            Err(crossbeam::channel::TrySendError::Full((mut stream, _))) => {
+            Err(TrySendError::Full((mut stream, _))) => {
                 // Shed at the door: bounded queue, bounded memory. The
                 // write is covered by the timeout set above, so a slow
                 // shed-target cannot wedge the acceptor for long.
@@ -432,7 +450,7 @@ fn accept_loop(
                     &error_body("overloaded", "request queue is full; retry shortly", true),
                 );
             }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => break,
+            Err(TrySendError::Disconnected(_)) => break,
         }
     }
 }

@@ -62,8 +62,8 @@ pub use trex_core::{
     CacheStatus, CostCache, CostValidation, EvalOptions, Explain, FoldManager, FoldOptions,
     FoldReport, ListKind, Partition, PartitionBudget, PartitionedCycle, PartitionedSystem,
     ProfilerConfig, QueryEngine, QueryRequest, QueryResponse, QueryResult, QueryService,
-    RaceWinner, ReconcileReport, ResultCache, SelectionMethod, SelfManageOptions, SelfManager,
-    Strategy, StrategyMetrics, StrategyStats, TrexError, WireError, Workload, WorkloadProfiler,
+    ReconcileReport, ResultCache, SelectionMethod, SelfManageOptions, SelfManager, Strategy,
+    StrategyMetrics, StrategyStats, TrexError, WireError, Workload, WorkloadProfiler,
     WorkloadQuery, DEFAULT_CACHE_ENTRIES, TA_PREDICTION_FACTOR,
 };
 pub use trex_index::partition_of;
@@ -73,8 +73,10 @@ pub use trex_summary::{AliasMap, SummaryKind};
 pub use trex_text::Analyzer;
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use trex_index::IndexBuilder;
 use trex_storage::Store;
 
@@ -294,31 +296,33 @@ impl TrexSystem {
     ) -> Result<TrexSystem> {
         let threads = threads.max(1);
         TrexSystem::build_with(config, partitions, |builder| {
-            crossbeam::thread::scope(|scope| {
-                let (raw_tx, raw_rx) = crossbeam::channel::bounded::<(usize, String)>(threads * 4);
-                let (parsed_tx, parsed_rx) = crossbeam::channel::bounded::<(
-                    usize,
-                    trex_xml::Result<trex_xml::Document>,
-                )>(threads * 4);
+            std::thread::scope(|scope| {
+                let (raw_tx, raw_rx) = sync_channel::<(usize, String)>(threads * 4);
+                let (parsed_tx, parsed_rx) =
+                    sync_channel::<(usize, trex_xml::Result<trex_xml::Document>)>(threads * 4);
+                // The parse workers share the raw queue; the last one to exit
+                // drops it, which unblocks the feeder when the build fails.
+                let raw_rx = Arc::new(Mutex::new(raw_rx));
 
                 for _ in 0..threads {
                     let raw_rx = raw_rx.clone();
                     let parsed_tx = parsed_tx.clone();
-                    scope.spawn(move |_| {
-                        for (i, xml) in raw_rx.iter() {
-                            if parsed_tx
-                                .send((i, trex_xml::Document::parse(&xml)))
-                                .is_err()
-                            {
-                                break;
-                            }
+                    scope.spawn(move || loop {
+                        let Ok((i, xml)) = raw_rx.lock().recv() else {
+                            break;
+                        };
+                        if parsed_tx
+                            .send((i, trex_xml::Document::parse(&xml)))
+                            .is_err()
+                        {
+                            break;
                         }
                     });
                 }
                 drop(raw_rx);
                 drop(parsed_tx);
 
-                let feeder = scope.spawn(move |_| {
+                let feeder = scope.spawn(move || {
                     for item in documents.into_iter().enumerate() {
                         if raw_tx.send(item).is_err() {
                             break;
@@ -341,7 +345,6 @@ impl TrexSystem {
                 feeder.join().expect("feeder thread");
                 Ok(())
             })
-            .expect("scoped threads")
         })
     }
 

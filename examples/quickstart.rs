@@ -81,7 +81,6 @@ fn strategy_name(result: &trex::QueryResult) -> &'static str {
         trex::StrategyStats::Era(_) => "ERA",
         trex::StrategyStats::Ta(_) => "TA",
         trex::StrategyStats::Merge(_) => "Merge",
-        trex::StrategyStats::Race { .. } => "Race",
         trex::StrategyStats::Scatter { .. } => "Scatter",
     }
 }

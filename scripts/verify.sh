@@ -3,8 +3,10 @@
 # workspace-wide clippy with warnings denied, and release-mode runs of the
 # suites that need optimised codegen (concurrency stress, crash-recovery
 # matrix, online self-management storm, HTTP serving, partition
-# determinism, tracing/health/advisor journal, block-codec property tests).
-# Last, the macro-benchmark (benchmark/, a cargo package of its own that
+# determinism, tracing/health/advisor journal, block-codec property tests),
+# and the paper's §4 TA-vs-Merge experiment on a small corpus, which must
+# exit 0 so the `experiments` binary cannot rot unseen. Last, the
+# macro-benchmark (benchmark/, a cargo package of its own that
 # tier-1 never builds) is held to the current API: its unit tests run, then
 # each of its six workloads runs briefly and must report correct answers —
 # every timed op checked against forced-ERA truth. Each runs for the
@@ -47,6 +49,9 @@ cargo test --release -p trex --test tracing_observability
 
 echo "== cargo test --release --test blocks_roundtrip =="
 cargo test --release -p trex-index --test blocks_roundtrip
+
+echo "== experiments race (paper §4, small corpus) =="
+cargo run --release -p trex-bench --bin experiments -- race --ieee 150 --wiki 150 --runs 1
 
 echo "== macro-benchmark unit tests =="
 CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path benchmark/Cargo.toml

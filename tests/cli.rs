@@ -64,15 +64,15 @@ fn full_cli_round_trip() {
     assert!(out.contains("RPLs materialised:  false"), "{out}");
     assert!(out.contains("auto would run:     Era"), "{out}");
 
-    // materialize + TA + race
+    // materialize + TA; the retired race strategy is refused
     let (ok, _, err) = run(&["materialize", &store, query]);
     assert!(ok, "{err}");
     let (ok, _, err) = run(&["query", &store, query, "-k", "3", "--strategy", "ta"]);
     assert!(ok, "{err}");
     assert!(err.contains("strategy TA"), "{err}");
     let (ok, _, err) = run(&["query", &store, query, "-k", "3", "--strategy", "race"]);
-    assert!(ok, "{err}");
-    assert!(err.contains("Race ("), "{err}");
+    assert!(!ok);
+    assert!(err.contains("unknown strategy"), "{err}");
 
     // advise
     let workload = std::env::temp_dir().join(format!("trex-cli-wl-{}.txt", std::process::id()));

@@ -144,55 +144,6 @@ fn unknown_terms_yield_empty_results_not_errors() {
 }
 
 #[test]
-fn race_returns_first_finisher_and_agrees_with_era() {
-    let store = temp("race");
-    let system = TrexSystem::build(TrexConfig::new(&store), small_ieee(60)).unwrap();
-    let query = "//article//sec[about(., xml query evaluation)]";
-
-    // Race requires both redundant indexes.
-    let err = system
-        .search_with(query, Some(5), Strategy::Race)
-        .unwrap_err();
-    assert!(err.to_string().contains("RPL"), "{err}");
-
-    system.materialize_for(query, ListKind::Both).unwrap();
-    let race = system.search_with(query, Some(5), Strategy::Race).unwrap();
-    let era = system.search_with(query, Some(5), Strategy::Era).unwrap();
-    assert_eq!(race.answers.len(), era.answers.len());
-    for (a, b) in race.answers.iter().zip(&era.answers) {
-        assert_eq!(a.element, b.element);
-        assert!((a.score - b.score).abs() <= 1e-4 * a.score.abs().max(1.0));
-    }
-    let trex::StrategyStats::Race { won_by, winner, .. } = &race.stats else {
-        panic!("expected race stats");
-    };
-    match won_by {
-        trex::RaceWinner::Ta => assert!(matches!(**winner, trex::StrategyStats::Ta(_))),
-        trex::RaceWinner::Merge => assert!(matches!(**winner, trex::StrategyStats::Merge(_))),
-    }
-    std::fs::remove_file(&store).ok();
-}
-
-#[test]
-fn race_is_repeatable_under_load() {
-    let store = temp("race-repeat");
-    let system = TrexSystem::build(TrexConfig::new(&store), small_ieee(40)).unwrap();
-    let query = "//sec[about(., code signing verification)]";
-    system.materialize_for(query, ListKind::Both).unwrap();
-    let baseline = system
-        .search_with(query, Some(10), Strategy::Merge)
-        .unwrap();
-    for _ in 0..10 {
-        let race = system.search_with(query, Some(10), Strategy::Race).unwrap();
-        assert_eq!(race.answers.len(), baseline.answers.len());
-        for (a, b) in race.answers.iter().zip(&baseline.answers) {
-            assert_eq!(a.element, b.element);
-        }
-    }
-    std::fs::remove_file(&store).ok();
-}
-
-#[test]
 fn verbatim_analyzer_survives_reopen() {
     // Regression: the analyzer is persisted in the catalog; a store built
     // with the verbatim pipeline must answer stopword-laden queries after

@@ -248,68 +248,72 @@ fn repeat_query_hits_cache_until_reconcile_bumps_generation() {
 
 #[test]
 fn saturated_queue_sheds_with_429_and_retry_after() {
-    let path = temp("shed");
-    let system = build_system(&path);
-    // One worker, one queue slot, short I/O timeout: two idle connections
-    // saturate the server (one held by the worker, one queued); the third
-    // must be shed at the door.
-    let server = system
-        .serve_http(
-            "127.0.0.1:0",
-            HttpServerConfig {
-                workers: 1,
-                queue_depth: 1,
-                io_timeout: Duration::from_secs(2),
-                ..HttpServerConfig::default()
-            },
-        )
-        .expect("start http server");
-    let addr = server.addr();
-    let serve = system.serve_metrics();
+    // Depth 0 is raised to one slot, so it must shed exactly like depth 1.
+    for queue_depth in [0, 1] {
+        let path = temp(&format!("shed-{queue_depth}"));
+        let system = build_system(&path);
+        // One worker, one queue slot, short I/O timeout: two idle connections
+        // saturate the server (one held by the worker, one queued); the third
+        // must be shed at the door.
+        let server = system
+            .serve_http(
+                "127.0.0.1:0",
+                HttpServerConfig {
+                    workers: 1,
+                    queue_depth,
+                    io_timeout: Duration::from_secs(2),
+                    ..HttpServerConfig::default()
+                },
+            )
+            .expect("start http server");
+        assert_eq!(server.config().queue_depth, 1);
+        let addr = server.addr();
+        let serve = system.serve_metrics();
 
-    // First idle connection: admitted, then dequeued by the worker (which
-    // blocks reading it). Wait for the dequeue so the queue is empty again.
-    let conn_a = TcpStream::connect(addr).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while serve.queue_depth.get() != 0 || serve.counters.admitted.get() < 1 {
-        assert!(Instant::now() < deadline, "worker never picked up conn A");
-        std::thread::sleep(Duration::from_millis(5));
+        // First idle connection: admitted, then dequeued by the worker (which
+        // blocks reading it). Wait for the dequeue so the queue is empty again.
+        let conn_a = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while serve.queue_depth.get() != 0 || serve.counters.admitted.get() < 1 {
+            assert!(Instant::now() < deadline, "worker never picked up conn A");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // Second idle connection: admitted, stays queued (worker is busy).
+        let conn_b = TcpStream::connect(addr).unwrap();
+        while serve.counters.admitted.get() < 2 {
+            assert!(Instant::now() < deadline, "conn B never admitted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(serve.queue_depth.get(), 1);
+
+        // Third connection: the queue is full — shed, deterministically.
+        let mut conn_c = TcpStream::connect(addr).unwrap();
+        conn_c
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut response = String::new();
+        conn_c.read_to_string(&mut response).expect("shed response");
+        let (head, body) = response.split_once("\r\n\r\n").expect("shed head/body");
+        assert!(
+            head.starts_with("HTTP/1.1 429"),
+            "expected 429, got: {head}"
+        );
+        assert!(head.contains("Retry-After: 1"), "{head}");
+        let error = trex::obs::parse_json(body).expect("shed body is JSON");
+        assert_eq!(error.get("code").unwrap().as_str(), Some("overloaded"));
+        assert_eq!(error.get("retryable").unwrap().as_bool(), Some(true));
+
+        // Counter-assert: exactly one shed, exactly two admitted.
+        let snap = serve.counters.snapshot();
+        assert_eq!(snap.shed, 1, "shed counter");
+        assert_eq!(snap.admitted, 2, "admitted counter");
+
+        drop(conn_a);
+        drop(conn_b);
+        server.stop();
+        cleanup(&path);
     }
-
-    // Second idle connection: admitted, stays queued (worker is busy).
-    let conn_b = TcpStream::connect(addr).unwrap();
-    while serve.counters.admitted.get() < 2 {
-        assert!(Instant::now() < deadline, "conn B never admitted");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(serve.queue_depth.get(), 1);
-
-    // Third connection: the queue is full — shed, deterministically.
-    let mut conn_c = TcpStream::connect(addr).unwrap();
-    conn_c
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut response = String::new();
-    conn_c.read_to_string(&mut response).expect("shed response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("shed head/body");
-    assert!(
-        head.starts_with("HTTP/1.1 429"),
-        "expected 429, got: {head}"
-    );
-    assert!(head.contains("Retry-After: 1"), "{head}");
-    let error = trex::obs::parse_json(body).expect("shed body is JSON");
-    assert_eq!(error.get("code").unwrap().as_str(), Some("overloaded"));
-    assert_eq!(error.get("retryable").unwrap().as_bool(), Some(true));
-
-    // Counter-assert: exactly one shed, exactly two admitted.
-    let snap = serve.counters.snapshot();
-    assert_eq!(snap.shed, 1, "shed counter");
-    assert_eq!(snap.admitted, 2, "admitted counter");
-
-    drop(conn_a);
-    drop(conn_b);
-    server.stop();
-    cleanup(&path);
 }
 
 #[test]
@@ -375,6 +379,13 @@ fn malformed_requests_get_structured_errors() {
     let (status, _, body) = http_request(addr, "POST", "/v1/query", Some(r#"{"k": 5}"#), Some(8));
     assert!(status.contains("400"), "{status}");
     assert!(body.contains("nexi"), "{body}");
+
+    // Unknown strategy (the retired "race" included) → 400 bad_request.
+    let race = r#"{"nexi": "//a[about(., x)]", "strategy": "race"}"#;
+    let (status, _, body) = http_request(addr, "POST", "/v1/query", Some(race), Some(race.len()));
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("bad_request"), "{body}");
+    assert!(body.contains("strategy"), "{body}");
 
     // Unparsable NEXI → 400 query_error.
     let broken = r#"{"nexi": "//a[about(., )]]]"}"#;

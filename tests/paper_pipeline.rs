@@ -99,7 +99,6 @@ fn explain_predicts_what_auto_runs() {
             trex::StrategyStats::Era(_) => Strategy::Era,
             trex::StrategyStats::Ta(_) => Strategy::Ta,
             trex::StrategyStats::Merge(_) => Strategy::Merge,
-            trex::StrategyStats::Race { .. } => Strategy::Race,
             trex::StrategyStats::Scatter { .. } => {
                 unreachable!("single-store search never scatters")
             }
@@ -149,8 +148,7 @@ fn all_strategies_agree_on_wiki_with_document_store() {
     let merge = system
         .search_with(query, Some(10), Strategy::Merge)
         .unwrap();
-    let race = system.search_with(query, Some(10), Strategy::Race).unwrap();
-    for other in [&ta, &merge, &race] {
+    for other in [&ta, &merge] {
         assert_eq!(era.answers.len(), other.answers.len());
         for (a, b) in era.answers.iter().zip(&other.answers) {
             assert_eq!(a.element, b.element);
