@@ -9,10 +9,7 @@
 use std::time::{Duration, Instant};
 
 use trex_nexi::{parse, translate, Interpretation, Translation, TranslationContext};
-use trex_obs::{
-    tree_from_events, DriftKind, QueryTrace, SlowQuery, SpanGuard, StageTimings, TraceContext,
-    TraceNode,
-};
+use trex_obs::{DriftKind, QueryTrace, SlowQuery, StageTimings, TraceContext, TraceNode};
 use trex_text::Analyzer;
 
 use trex_index::TrexIndex;
@@ -144,14 +141,11 @@ pub struct QueryResult {
     /// query is answerable from cache iff the current generation still
     /// equals this one — the serving layer's invalidation key.
     pub generation: u64,
-    /// The assembled span tree of this evaluation; present when the query
-    /// ran under a [`TraceContext`] (request tracing). For partitioned
-    /// evaluations the scatter layer grafts each partition's tree under one
-    /// root (see `crate::partition`).
+    /// The span tree of this evaluation; present when the query ran under
+    /// a [`TraceContext`] (request tracing). For partitioned evaluations
+    /// the scatter layer grafts each partition's tree under one root (see
+    /// `crate::partition`).
     pub trace_tree: Option<TraceNode>,
-    /// True when ring wrap-around lost span events inside this query's
-    /// window, so `trace_tree` (and the slow-log subtree) is incomplete.
-    pub trace_truncated: bool,
 }
 
 /// Options for [`QueryEngine::evaluate`], assembled fluently:
@@ -189,7 +183,7 @@ pub struct EvalOptions {
     /// [`TrexError::DeadlineExceeded`] instead of running to completion.
     pub deadline: Option<Instant>,
     /// Request-tracing identity from the serving layer. When set, the
-    /// evaluation assembles its span subtree into
+    /// evaluation builds its span tree into
     /// [`QueryResult::trace_tree`] (and feeds the cost-model drift monitor)
     /// even if [`EvalOptions::trace`] is off.
     pub trace_context: Option<TraceContext>,
@@ -407,44 +401,37 @@ impl<'a> QueryEngine<'a> {
 
     /// Evaluates `nexi` with the given options.
     pub fn evaluate(&self, nexi: &str, opts: EvalOptions) -> Result<QueryResult> {
-        // The root "query" span opens before translation so the whole query
-        // lifetime — translate included — is one span tree; child spans
-        // (translate, gate_wait, evaluate:*) nest under it via the journal's
-        // thread-local parent link.
-        let journal = &self.index.telemetry().journal;
-        let query_span = journal.span("query");
+        // The query's clock starts before translation, so the root "query"
+        // span covers the whole query lifetime, translate included.
         let started = Instant::now();
-        let translation = {
-            let _translate_span = journal.span("translate");
-            self.translate(nexi, opts.interpretation)?
-        };
-        self.evaluate_staged(Some(nexi), translation, opts, started.elapsed(), query_span)
+        let translation = self.translate(nexi, opts.interpretation)?;
+        let translate_time = started.elapsed();
+        self.evaluate_staged(Some(nexi), translation, opts, started, Some(translate_time))
     }
 
     /// Evaluates an already-translated query (its trace, if requested,
-    /// reports a zero translate stage). Bypasses the workload profiler —
-    /// it has no query text to record.
+    /// reports a zero translate stage, and its span tree has no `translate`
+    /// span). Bypasses the workload profiler — it has no query text to
+    /// record.
     pub fn evaluate_translated(
         &self,
         translation: Translation,
         opts: EvalOptions,
     ) -> Result<QueryResult> {
-        let query_span = self.index.telemetry().journal.span("query");
-        self.evaluate_staged(None, translation, opts, Duration::ZERO, query_span)
+        self.evaluate_staged(None, translation, opts, Instant::now(), None)
     }
 
-    /// The shared evaluation path; `translate_time` is the already-spent
-    /// translation wall-clock for the trace's stage breakdown, `nexi` the
-    /// original query text when known (for workload profiling), and
-    /// `query_span` the already-open root span (closed here, before the
-    /// slow-query log collects its tree).
+    /// The shared evaluation path; `started` is the query clock's start
+    /// (the root span's begin), `translate_time` the already-spent
+    /// translation wall-clock (`None` for a pre-translated query), and
+    /// `nexi` the original query text when known (for workload profiling).
     fn evaluate_staged(
         &self,
         nexi: Option<&str>,
         translation: Translation,
         opts: EvalOptions,
-        translate_time: Duration,
-        query_span: SpanGuard<'_>,
+        started: Instant,
+        translate_time: Option<Duration>,
     ) -> Result<QueryResult> {
         if !self.index.summary().is_nesting_free() {
             // "TReX uses only summaries in which there are no two XML
@@ -459,16 +446,13 @@ impl<'a> QueryEngine<'a> {
         let sids = &translation.sids;
         let terms = &translation.terms;
         let telemetry = self.index.telemetry();
-        let root_span_id = query_span.id();
         // Hold the maintenance gate for the whole evaluation: the coverage
         // checks in `resolve_strategy` and the list reads of the chosen
         // strategy see one consistent generation of redundant lists, even
         // while a reconcile cycle rewrites them on another thread. (The gate
         // itself records the wait into `maint.read_gate_wait`.)
-        let _gate = {
-            let _gate_span = telemetry.journal.span("gate_wait");
-            self.index.maintenance().enter_read()
-        };
+        let _gate = self.index.maintenance().enter_read();
+        let gate_acquired = Instant::now();
         // The list-set epoch this evaluation reads under; exact because the
         // gate is held. Doubles as the serving layer's cache key component.
         let generation = self.index.maintenance().generation();
@@ -491,7 +475,6 @@ impl<'a> QueryEngine<'a> {
         let drift_sampled = !explicit_trace
             && matches!(strategy, Strategy::Ta | Strategy::Merge)
             && telemetry.drift.should_sample();
-        let journal_dropped0 = telemetry.journal.dropped();
         let want_trace = explicit_trace || slow_armed || drift_sampled;
         let before = if want_trace {
             Some((
@@ -502,12 +485,6 @@ impl<'a> QueryEngine<'a> {
             None
         };
 
-        let eval_span = telemetry.journal.span(match strategy {
-            Strategy::Era => "evaluate:era",
-            Strategy::Ta => "evaluate:ta",
-            Strategy::Merge => "evaluate:merge",
-            Strategy::Auto => unreachable!("resolved above"),
-        });
         let mut rank_time = Duration::ZERO;
         let eval_started = Instant::now();
         let (mut answers, mut total, stats) = match strategy {
@@ -584,13 +561,17 @@ impl<'a> QueryEngine<'a> {
             rank_time += rank_started.elapsed();
         }
 
-        let evaluate_time = eval_started.elapsed().saturating_sub(rank_time);
-        drop(eval_span);
+        let eval_elapsed = eval_started.elapsed();
+        let evaluate_time = eval_elapsed.saturating_sub(rank_time);
+        // The root span ends where evaluation does, so it covers translate,
+        // gate wait, evaluate and rank.
+        let total_time = eval_started.duration_since(started) + eval_elapsed;
+        let translate = translate_time.unwrap_or_default();
 
         let trace = before.map(|(storage0, index0)| QueryTrace {
             strategy: stats.name().to_string(),
             stages: StageTimings {
-                translate: translate_time,
+                translate,
                 evaluate: evaluate_time,
                 rank: rank_time,
             },
@@ -614,9 +595,8 @@ impl<'a> QueryEngine<'a> {
         }
 
         // Latency histograms, from the stage durations measured above.
-        let total_time = translate_time + evaluate_time + rank_time;
         let timers = &telemetry.query;
-        timers.translate.record_duration(translate_time);
+        timers.translate.record_duration(translate);
         timers.rank.record_duration(rank_time);
         timers.query.record_duration(total_time);
         let per_strategy = match &stats {
@@ -636,37 +616,32 @@ impl<'a> QueryEngine<'a> {
             profiler.record(nexi, sids, terms, opts.k);
         }
 
-        // Slow-query / trace capture: close the root span first so the
-        // collected tree has every End event, then cut this query's subtree
-        // out of the journal — once, shared by the slow log and the request
-        // trace tree. The trace was built above whenever capture was possible.
-        drop(query_span);
+        // Slow-query / trace capture: the span tree is built only when a
+        // reader wants it — once, shared by the slow log and the request
+        // trace. The trace was built above whenever capture was possible.
         let total_ns = u64::try_from(total_time.as_nanos()).unwrap_or(u64::MAX);
         let slow_hit = slow_armed && telemetry.slow.qualifies(total_ns);
         let want_tree = opts.trace_context.is_some();
-        // Journal wrap-around between arming and collection silently loses
-        // events; surface that as `truncated` rather than serving a tree
-        // that looks complete.
-        let journal_lost = telemetry.journal.dropped() > journal_dropped0;
-        let (trace_tree, trace_truncated) = if want_tree || slow_hit {
-            let events = telemetry.journal.collect_tree(root_span_id);
-            let (tree, structural) = tree_from_events(&events, root_span_id);
-            let truncated = journal_lost || structural;
-            if slow_hit {
-                telemetry.slow.record(SlowQuery {
-                    query: nexi.unwrap_or("<pre-translated>").to_string(),
-                    strategy: stats.name().to_string(),
-                    total: total_time,
-                    trace: trace.clone().unwrap_or_default(),
-                    spans: events,
-                    trace_id: opts.trace_context.map(|c| c.trace_id),
-                    truncated,
-                });
-            }
-            (if want_tree { tree } else { None }, truncated)
-        } else {
-            (None, journal_lost)
-        };
+        let trace_tree = (want_tree || slow_hit).then(|| {
+            span_tree(
+                stats.name(),
+                started,
+                translate_time,
+                gate_acquired,
+                eval_started,
+                evaluate_time + rank_time,
+            )
+        });
+        if slow_hit {
+            telemetry.slow.record(SlowQuery {
+                query: nexi.unwrap_or("<pre-translated>").to_string(),
+                strategy: stats.name().to_string(),
+                total: total_time,
+                trace: trace.clone().unwrap_or_default(),
+                tree: trace_tree.clone().unwrap_or_default(),
+                trace_id: opts.trace_context.map(|c| c.trace_id),
+            });
+        }
 
         Ok(QueryResult {
             answers,
@@ -675,8 +650,7 @@ impl<'a> QueryEngine<'a> {
             stats,
             trace: if opts.trace { trace } else { None },
             generation,
-            trace_tree,
-            trace_truncated,
+            trace_tree: trace_tree.filter(|_| want_tree),
         })
     }
 
@@ -897,6 +871,45 @@ impl<'a> QueryEngine<'a> {
             }
             Strategy::Era => Ok(Strategy::Era),
         }
+    }
+}
+
+/// One query's span tree, read off the instants and stage durations the
+/// engine's own clock measured: `query` → `translate` (absent for a
+/// pre-translated query) / `gate_wait` / `evaluate:<strategy>`, offsets
+/// from `started`. `translate` and `evaluate` (evaluate + rank) are the
+/// very durations the query's [`StageTimings`] report, so the tree and the
+/// trace agree to the microsecond.
+fn span_tree(
+    strategy: &str,
+    started: Instant,
+    translate: Option<Duration>,
+    gate_acquired: Instant,
+    eval_started: Instant,
+    evaluate: Duration,
+) -> TraceNode {
+    let span = |name: String, start: Duration, duration: Duration| TraceNode {
+        name,
+        start_us: u64::try_from(start.as_micros()).unwrap_or(u64::MAX),
+        duration_us: u64::try_from(duration.as_micros()).unwrap_or(u64::MAX),
+        children: Vec::new(),
+    };
+    let translated = translate.unwrap_or_default();
+    let gate_at = gate_acquired.duration_since(started);
+    let eval_at = eval_started.duration_since(started);
+    let mut children = Vec::with_capacity(3);
+    if let Some(t) = translate {
+        children.push(span("translate".into(), Duration::ZERO, t));
+    }
+    children.push(span(
+        "gate_wait".into(),
+        translated,
+        gate_at.saturating_sub(translated),
+    ));
+    children.push(span(format!("evaluate:{strategy}"), eval_at, evaluate));
+    TraceNode {
+        children,
+        ..span("query".into(), Duration::ZERO, eval_at + evaluate)
     }
 }
 

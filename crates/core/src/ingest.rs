@@ -125,8 +125,6 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
     }
     let started = Instant::now();
     let store = index.store();
-    let telemetry = index.telemetry().clone();
-    let fold_span = telemetry.journal.span("fold");
 
     let gate_started;
     let docs_folded;
@@ -286,7 +284,6 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
         .flush_consuming_ingests(u64::from(max_doc_id) + 1)
         .map_err(storage)?;
 
-    drop(fold_span);
     Ok(Some(FoldReport {
         docs_folded,
         new_terms: new_term_count,

@@ -292,7 +292,7 @@ pub fn merge_topk(streams: &[Vec<Answer>], k: Option<usize>) -> Vec<Answer> {
 /// * `trace_tree`: when the request carried a trace context, a synthetic
 ///   `scatter` root with exactly one `partition:{i}` child per partition,
 ///   each wrapping that partition's own span tree — one tree for the whole
-///   fan-out, truncated if any partition's capture was.
+///   fan-out.
 fn merge_results(per_part: Vec<QueryResult>, opts: EvalOptions, wall: Duration) -> QueryResult {
     let streams: Vec<Vec<Answer>> = per_part.iter().map(|r| r.answers.clone()).collect();
     let answers = merge_topk(&streams, opts.k);
@@ -314,7 +314,6 @@ fn merge_results(per_part: Vec<QueryResult>, opts: EvalOptions, wall: Duration) 
     let mut per_part = per_part;
     let trace = per_part[slowest].trace.take();
     let translation = per_part[0].translation.clone();
-    let trace_truncated = per_part.iter().any(|r| r.trace_truncated);
     let trace_tree = if opts.trace_context.is_some() {
         let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
         let children = per_part
@@ -356,7 +355,6 @@ fn merge_results(per_part: Vec<QueryResult>, opts: EvalOptions, wall: Duration) 
         trace,
         generation,
         trace_tree,
-        trace_truncated,
     }
 }
 

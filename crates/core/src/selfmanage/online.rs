@@ -216,12 +216,10 @@ pub fn reconcile_once(
         });
     }
 
-    // Phase telemetry: one "reconcile" span for the cycle with one child
-    // span per phase, plus the matching `maint.reconcile_*` histograms.
-    let cycle_span = telemetry.journal.span("reconcile");
+    // Phase telemetry: the cycle and each phase land in the matching
+    // `maint.reconcile_*` histograms.
     let sw_cycle = telemetry.maint.start();
 
-    let measure_span = telemetry.journal.span("reconcile:measure");
     let sw_measure = telemetry.maint.start();
     let engine = QueryEngine::new(index);
     let mut costs = Vec::with_capacity(workload.len());
@@ -251,7 +249,6 @@ pub fn reconcile_once(
     }
 
     telemetry.maint.reconcile_measure.observe(&sw_measure);
-    drop(measure_span);
 
     let selection = match opts.method {
         SelectionMethod::Lp => solve_lp(&costs, opts.budget_bytes),
@@ -271,7 +268,6 @@ pub fn reconcile_once(
 
     // Apply the delta. Drops FIRST, so the registry never holds more than
     // max(old bytes, budget) at any instant and frees space for the adds.
-    let apply_span = telemetry.journal.span("reconcile:apply");
     let sw_apply = telemetry.maint.start();
     let mut rpls = index.rpls()?;
     let mut erpls = index.erpls()?;
@@ -392,18 +388,15 @@ pub fn reconcile_once(
     }
 
     telemetry.maint.reconcile_apply.observe(&sw_apply);
-    drop(apply_span);
 
     // One checkpoint per cycle (cf. the offline advisor's one per query).
     if written > 0 || dropped > 0 {
-        let _ckpt_span = telemetry.journal.span("reconcile:checkpoint");
         let sw_ckpt = telemetry.maint.start();
         index.store().flush()?;
         telemetry.maint.reconcile_checkpoint.observe(&sw_ckpt);
     }
     counters.cycles.incr();
     telemetry.maint.reconcile_cycle.observe(&sw_cycle);
-    drop(cycle_span);
 
     let bytes_used = rpls.total_bytes()? + erpls.total_bytes()?;
     Ok(ReconcileReport {

@@ -170,10 +170,10 @@ impl WorkloadProfiler {
     /// The current top-`max` query shapes by decayed weight, heaviest
     /// first. Equal weights are broken by the full shape key (sids, terms,
     /// k) — the sketch's own aggregation key — like the ranked eviction in
-    /// [`prune`](WorkloadProfiler::prune). NEXI text alone is not a key:
-    /// the same spelling queried at two k values is two distinct shapes,
-    /// and tied shapes sorted only by text would surface in hash-map order,
-    /// making reconcile plans differ run to run.
+    /// `prune`. NEXI text alone is not a key: the same spelling queried at
+    /// two k values is two distinct shapes, and tied shapes sorted only by
+    /// text would surface in hash-map order, making reconcile plans differ
+    /// run to run.
     pub fn profile(&self, max: usize) -> Vec<ProfiledQuery> {
         let now = self.ticks.load(Ordering::Relaxed);
         let mut all: Vec<(ProfileKey, ProfiledQuery)> = Vec::new();

@@ -182,7 +182,6 @@ impl<'a> QueryService<'a> {
                 metrics.traces.insert(TraceRecord {
                     trace_id: ctx.trace_id,
                     unix_ms: unix_ms(),
-                    truncated: result.trace_truncated,
                     root,
                 });
             }

@@ -118,7 +118,7 @@ pub fn ta(
 
 /// Like [`ta`], but polls the [`Deadline`] every [`CHECK_INTERVAL`] sorted
 /// accesses; an expired run fails with
-/// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded).
+/// [`TrexError::DeadlineExceeded`].
 pub fn ta_with_deadline(
     rpls: &RplTable,
     sids: &[Sid],

@@ -145,8 +145,8 @@ pub struct TrexIndex {
     obs: Arc<trex_obs::IndexCounters>,
     /// Gate between query evaluation and online list maintenance.
     maintenance: Arc<Maintenance>,
-    /// Query-path telemetry (latency histograms, span journal, slow-query
-    /// log), shared with the engine and the self-manager above.
+    /// Query-path telemetry (latency histograms, slow-query log, drift
+    /// monitor), shared with the engine and the self-manager above.
     telemetry: Arc<trex_obs::Telemetry>,
     /// The live-ingestion overlay; see [`delta::DeltaIndex`].
     delta: Arc<DeltaIndex>,
@@ -319,7 +319,7 @@ impl TrexIndex {
     }
 
     /// The query-path telemetry: latency histograms (query, strategy,
-    /// maintenance), the span journal, and the slow-query log. The gate
+    /// maintenance), the slow-query log, and the drift monitor. The gate
     /// returned by [`TrexIndex::maintenance`] records its wait times here.
     pub fn telemetry(&self) -> &Arc<trex_obs::Telemetry> {
         &self.telemetry

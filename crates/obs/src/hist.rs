@@ -361,7 +361,8 @@ histogram_group! {
     /// Query-path latencies, owned by the index-level
     /// [`crate::registry::Telemetry`] and recorded by the engine.
     histograms QueryTimers {
-        /// End-to-end query time (translate + evaluate + rank).
+        /// End-to-end query time: the root `query` span's duration —
+        /// translate, read-gate wait, evaluate and rank.
         query,
         /// NEXI parse + summary translation.
         translate,

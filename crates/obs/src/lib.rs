@@ -6,8 +6,9 @@
 //! 2. **Histograms** ([`hist`]) — log-bucketed latency distributions
 //!    (p50/p90/p99/p999 + max, ≤12.5% relative error) for the query path,
 //!    storage I/O, the WAL, the maintenance gate, and reconcile cycles.
-//! 3. **Spans** ([`span`]) — a striped in-memory ring of begin/end events
-//!    with parent links, powering the slow-query log.
+//! 3. **Spans** ([`trace`]) — one [`TraceNode`] tree per query, built from
+//!    the engine's stage clock only when a request trace or the slow-query
+//!    log will read it.
 //!
 //! [`registry::MetricsRegistry`] gathers all three behind
 //! `render_prometheus()` / `render_json()` for the serving surface.
@@ -18,7 +19,8 @@
 //!   a single uncontended atomic add per counted event, cheap enough to leave
 //!   on in production builds. The *trace* toggle only controls whether a
 //!   query takes before/after snapshots and attaches a [`QueryTrace`].
-//!   Histograms and spans follow the same discipline and are always on.
+//!   Histograms follow the same discipline and are always on; a span tree
+//!   costs nothing until a reader asks for one.
 //! * Layers share counters by `Arc`: the buffer pool and pager share one
 //!   [`StorageCounters`], every table/iterator of an index shares one
 //!   [`IndexCounters`]. Snapshot deltas around a query therefore capture all
@@ -36,7 +38,6 @@ pub mod health;
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use advisor::{AdvisorJournal, CycleRecord, ListDeltaRecord, ShapeRecord, SplitRecord};
@@ -49,13 +50,9 @@ pub use hist::{
 };
 pub use json::{parse_json, JsonError, JsonValue};
 pub use registry::{MetricsRegistry, PartitionMetrics, ServeMetrics, Telemetry};
-pub use span::{
-    check_nesting, render_events, SlowQuery, SlowQueryLog, SpanEvent, SpanGuard, SpanJournal,
-    SpanKind, DEFAULT_SLOW_THRESHOLD,
-};
 pub use trace::{
-    format_traceparent, gen_span_id, gen_trace_id, parse_traceparent, tree_from_events, unix_ms,
-    TraceContext, TraceNode, TraceRecord, TraceStore,
+    format_traceparent, gen_span_id, gen_trace_id, parse_traceparent, unix_ms, SlowQuery,
+    SlowQueryLog, TraceContext, TraceNode, TraceRecord, TraceStore, DEFAULT_SLOW_THRESHOLD,
 };
 
 /// Version of every exposition schema this build emits: the `/metrics.json`

@@ -1,5 +1,5 @@
 //! The exposition surface: [`Telemetry`] bundles the query-path telemetry
-//! owned by an index (timers + span journal + slow-query log), and
+//! owned by an index (timers + slow-query log + drift monitor), and
 //! [`MetricsRegistry`] gathers every counter and histogram group of one
 //! system behind `render_prometheus()` / `render_json()`.
 
@@ -10,25 +10,22 @@ use crate::advisor::AdvisorJournal;
 use crate::drift::{DriftMonitor, DRIFT_KINDS};
 use crate::health::Health;
 use crate::hist::{MaintTimers, QueryTimers, ServeTimers, StorageTimers};
-use crate::span::{SlowQueryLog, SpanJournal};
-use crate::trace::TraceStore;
+use crate::trace::{render_slow_logs, SlowQueryLog, TraceStore};
 use crate::{
     json_escape, json_field, Gauge, IndexCounters, SelfManageCounters, ServeCounters,
     StorageCounters, ToJson,
 };
 
 /// Query-path telemetry shared by the engine, the maintenance gate, and the
-/// reconcile loop: histogram groups, the span journal, and the slow-query
-/// log. Owned by the index (one per open store) and shared by `Arc`, exactly
-/// like the counter groups.
+/// reconcile loop: histogram groups, the slow-query log, and the drift
+/// monitor. Owned by the index (one per open store) and shared by `Arc`,
+/// exactly like the counter groups.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     /// Query end-to-end / per-strategy / stage latencies.
     pub query: QueryTimers,
     /// Gate waits and reconcile-cycle phase latencies.
     pub maint: MaintTimers,
-    /// Always-on begin/end span journal.
-    pub journal: SpanJournal,
     /// Bounded log of queries over the slow threshold.
     pub slow: SlowQueryLog,
     /// Live cost-model drift gauges, fed by traced-or-sampled queries.
@@ -41,7 +38,6 @@ impl Telemetry {
         Telemetry {
             query: QueryTimers::new(),
             maint: MaintTimers::new(),
-            journal: SpanJournal::new(),
             slow: SlowQueryLog::new(),
             drift: DriftMonitor::new(),
         }
@@ -76,11 +72,12 @@ impl ServeMetrics {
     }
 }
 
-/// One partition's counter groups, labelled for exposition. A partitioned
-/// system registers one of these per store so operators can see where
-/// fetches, decodes and reconcile work actually land; the registry's
-/// primary (unlabelled) groups stay whatever the caller designates — for
-/// partitioned systems, partition 0's groups plus the shared serve layer.
+/// One partition's counter groups and slow-query log, labelled for
+/// exposition. A partitioned system registers one of these per store so
+/// operators can see where fetches, decodes, reconcile work and slow
+/// queries actually land; the registry's primary (unlabelled) groups stay
+/// whatever the caller designates — for partitioned systems, partition 0's
+/// groups plus the shared serve layer.
 #[derive(Debug, Clone)]
 pub struct PartitionMetrics {
     /// Label rendered into the `partition="…"` dimension (usually the
@@ -92,6 +89,8 @@ pub struct PartitionMetrics {
     pub index: Arc<IndexCounters>,
     /// The partition profiler/advisor's counters.
     pub selfmanage: Arc<SelfManageCounters>,
+    /// The partition index's query-path telemetry (its slow-query log).
+    pub telemetry: Arc<Telemetry>,
 }
 
 /// One flattened per-partition counter row: `(label, group, fields)`.
@@ -143,9 +142,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Attaches per-partition counter groups; each renders with a
+    /// Attaches per-partition groups; each counter renders with a
     /// `partition="label"` dimension in Prometheus and under a
-    /// `"partitions"` array in JSON.
+    /// `"partitions"` array in JSON, and each slow-query entry with a
+    /// `"partition"` label.
     pub fn with_partitions(mut self, partitions: Vec<PartitionMetrics>) -> MetricsRegistry {
         self.partitions = partitions;
         self
@@ -169,7 +169,7 @@ impl MetricsRegistry {
         &self.partitions
     }
 
-    /// The query-path telemetry (timers, journal, slow log).
+    /// The query-path telemetry (timers, slow log, drift monitor).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
@@ -320,12 +320,6 @@ impl MetricsRegistry {
             "trex_serve_queue_depth {}",
             self.serve.queue_depth.get()
         );
-        let _ = writeln!(out, "# TYPE trex_spans_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "trex_spans_dropped_total {}",
-            self.telemetry.journal.dropped()
-        );
         let _ = writeln!(out, "# TYPE trex_build_info gauge");
         let _ = writeln!(
             out,
@@ -400,8 +394,8 @@ impl MetricsRegistry {
     }
 
     /// Everything as one JSON object: counter groups, histogram summaries
-    /// (count/sum/max/p50/p90/p99/p999 + non-empty buckets), and journal /
-    /// slow-log occupancy.
+    /// (count/sum/max/p50/p90/p99/p999 + non-empty buckets), and slow-log
+    /// occupancy.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(16 * 1024);
         out.push_str("{\"counters\":{");
@@ -475,9 +469,8 @@ impl MetricsRegistry {
         }
         json_field(&mut out, "serve_queue_depth", self.serve.queue_depth.get());
         out.push(',');
-        json_field(&mut out, "spans_dropped", self.telemetry.journal.dropped());
-        out.push(',');
-        json_field(&mut out, "slow_queries", self.telemetry.slow.len() as u64);
+        let slow_queries: usize = self.slow_logs().iter().map(|(_, log)| log.len()).sum();
+        json_field(&mut out, "slow_queries", slow_queries);
         out.push_str(",\"build_info\":{\"git_rev\":\"");
         out.push_str(&json_escape(&self.git_rev));
         out.push_str("\",");
@@ -500,9 +493,21 @@ impl MetricsRegistry {
         out
     }
 
-    /// The slow-query log as JSON (threshold + entries with span trees).
+    /// The slow-query log as JSON (threshold + entries with span trees):
+    /// every partition's entries, each labelled with its partition, when
+    /// partitions are attached; the primary log otherwise.
     pub fn render_slow_json(&self) -> String {
-        self.telemetry.slow.to_json()
+        render_slow_logs(&self.slow_logs())
+    }
+
+    fn slow_logs(&self) -> Vec<(Option<&str>, &SlowQueryLog)> {
+        if self.partitions.is_empty() {
+            return vec![(None, &self.telemetry.slow)];
+        }
+        self.partitions
+            .iter()
+            .map(|p| (Some(p.label.as_str()), &p.telemetry.slow))
+            .collect()
     }
 }
 
@@ -583,7 +588,6 @@ mod tests {
         assert!(json.contains("\"serve\":{\"request\":{"));
         assert!(json.contains("\"query\":{\"query\":{\"count\":1"));
         assert!(json.contains("\"serve_queue_depth\":0"));
-        assert!(json.contains("\"spans_dropped\":0"));
         assert!(json.contains("\"slow_queries\":0"));
         assert!(json.contains("\"build_info\":{\"git_rev\":\""));
         assert!(json.contains(&format!("\"schema_version\":{}", crate::SCHEMA_VERSION)));
@@ -614,12 +618,14 @@ mod tests {
             storage: Arc::new(StorageCounters::new()),
             index: Arc::new(IndexCounters::new()),
             selfmanage: Arc::new(SelfManageCounters::new()),
+            telemetry: Arc::new(Telemetry::new()),
         };
         let p1 = PartitionMetrics {
             label: "1".into(),
             storage: Arc::new(StorageCounters::new()),
             index: Arc::new(IndexCounters::new()),
             selfmanage: Arc::new(SelfManageCounters::new()),
+            telemetry: Arc::new(Telemetry::new()),
         };
         p0.storage.page_reads.add(7);
         p1.storage.page_reads.add(3);

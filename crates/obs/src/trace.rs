@@ -1,13 +1,17 @@
-//! Request tracing: hand-rolled W3C `traceparent` ids, assembled span
-//! trees, and a bounded in-memory store of recent traces.
+//! Request tracing: hand-rolled W3C `traceparent` ids, per-query span
+//! trees, a bounded in-memory store of recent traces, and the slow-query
+//! log.
 //!
-//! The span journal ([`crate::span`]) stays the flight recorder; this module
-//! gives one request a *stable identity* across layers. HTTP ingress parses
-//! (or mints) a 128-bit trace id, the engine cuts its span subtree out of
-//! the journal and folds it into a [`TraceNode`] tree, the partitioned
-//! scatter layer grafts each partition's tree under one root, and the
-//! serving layer files the finished tree in a [`TraceStore`] keyed by trace
-//! id so `/v1/trace/<id>` can return the whole request as one tree.
+//! A span tree is a [`TraceNode`]: the engine builds one per query from the
+//! instants its stage clock already reads (`query` → `translate` /
+//! `gate_wait` / `evaluate:{era|ta|merge}`), and only when someone will
+//! read it — the query carries a [`TraceContext`] or crosses the slow
+//! threshold. HTTP ingress parses (or mints) a 128-bit trace id, the
+//! partitioned scatter layer grafts each partition's tree under one root,
+//! and the serving layer files the finished tree in a [`TraceStore`] keyed
+//! by trace id so `/v1/trace/<id>` can return the whole request as one
+//! tree. The [`SlowQueryLog`] keeps the same tree for queries over its
+//! threshold.
 //!
 //! Ids follow the W3C Trace Context `traceparent` wire form —
 //! `00-{32 hex trace-id}-{16 hex parent-id}-{2 hex flags}` — parsed and
@@ -18,9 +22,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
-use crate::span::{SpanEvent, SpanKind};
-use crate::{json_escape, json_field, ToJson};
+use crate::{json_escape, json_field, QueryTrace, ToJson};
 
 /// Identity of one request, threaded from HTTP ingress down to each
 /// partition's engine evaluation.
@@ -159,17 +163,6 @@ pub struct TraceNode {
     pub children: Vec<TraceNode>,
 }
 
-impl TraceNode {
-    /// Total node count of this subtree (self included).
-    pub fn span_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(TraceNode::span_count)
-            .sum::<usize>()
-    }
-}
-
 impl ToJson for TraceNode {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":\"");
@@ -189,80 +182,6 @@ impl ToJson for TraceNode {
     }
 }
 
-/// Folds the begin/end event subtree of span `root` (as produced by
-/// [`crate::SpanJournal::collect_tree`]) into a nested [`TraceNode`] tree.
-///
-/// Returns `(tree, truncated)`. `truncated` is true when the window is
-/// structurally incomplete: the root's begin event was lost to ring
-/// wrap-around, or any collected span is missing its begin or end. A span
-/// without an end gets the latest observed timestamp as its close. Returns
-/// `(None, true)` when not even the root's begin survived.
-pub fn tree_from_events(events: &[SpanEvent], root: u64) -> (Option<TraceNode>, bool) {
-    let mut truncated = false;
-    let mut begin: Vec<&SpanEvent> = Vec::new();
-    let mut max_t = 0u64;
-    for ev in events {
-        max_t = max_t.max(ev.t_ns);
-        match ev.kind {
-            SpanKind::Begin => begin.push(ev),
-            SpanKind::End => {}
-        }
-    }
-    let root_begin = match begin.iter().find(|e| e.id == root) {
-        Some(b) => **b,
-        None => return (None, true),
-    };
-    let end_of = |id: u64| -> Option<u64> {
-        events
-            .iter()
-            .find(|e| e.kind == SpanKind::End && e.id == id)
-            .map(|e| e.t_ns)
-    };
-    // Every collected End must have had its Begin retained too.
-    for ev in events {
-        if ev.kind == SpanKind::End && !begin.iter().any(|b| b.id == ev.id) {
-            truncated = true;
-        }
-    }
-    fn build(
-        id: u64,
-        begin: &[&SpanEvent],
-        end_of: &dyn Fn(u64) -> Option<u64>,
-        origin: u64,
-        max_t: u64,
-        truncated: &mut bool,
-    ) -> TraceNode {
-        let b = begin.iter().find(|e| e.id == id).expect("begin present");
-        let close = match end_of(id) {
-            Some(t) => t,
-            None => {
-                *truncated = true;
-                max_t
-            }
-        };
-        let children = begin
-            .iter()
-            .filter(|e| e.parent == id && e.id != id)
-            .map(|c| build(c.id, begin, end_of, origin, max_t, truncated))
-            .collect();
-        TraceNode {
-            name: b.name.to_string(),
-            start_us: b.t_ns.saturating_sub(origin) / 1_000,
-            duration_us: close.saturating_sub(b.t_ns) / 1_000,
-            children,
-        }
-    }
-    let tree = build(
-        root,
-        &begin,
-        &end_of,
-        root_begin.t_ns,
-        max_t,
-        &mut truncated,
-    );
-    (Some(tree), truncated)
-}
-
 /// One filed trace: the request identity plus its assembled span tree.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
@@ -270,8 +189,6 @@ pub struct TraceRecord {
     pub trace_id: u128,
     /// Wall-clock capture time, milliseconds since the Unix epoch.
     pub unix_ms: u64,
-    /// True when ring wrap-around lost events inside the captured window.
-    pub truncated: bool,
     /// The assembled span tree, rooted at the ingress/query span.
     pub root: TraceNode,
 }
@@ -282,8 +199,6 @@ impl ToJson for TraceRecord {
         out.push_str(&format!("{:032x}", self.trace_id));
         out.push_str("\",");
         json_field(out, "unix_ms", self.unix_ms);
-        out.push(',');
-        json_field(out, "truncated", self.truncated);
         out.push_str(",\"root\":");
         self.root.write_json(out);
         out.push('}');
@@ -291,8 +206,7 @@ impl ToJson for TraceRecord {
 }
 
 /// Bounded in-memory store of the most recent traces, keyed by trace id.
-/// Ring-evicts the oldest past capacity — a flight recorder, like the span
-/// journal it is assembled from.
+/// Ring-evicts the oldest past capacity — a flight recorder.
 #[derive(Debug)]
 pub struct TraceStore {
     records: Mutex<VecDeque<TraceRecord>>,
@@ -359,6 +273,152 @@ impl TraceStore {
     }
 }
 
+/// One captured slow query: the raw NEXI text, outcome, its trace, and the
+/// span tree of its evaluation.
+#[derive(Debug, Clone)]
+pub struct SlowQuery {
+    /// Raw NEXI text (may contain anything — escaping matters).
+    pub query: String,
+    /// Strategy that answered (`"ta"`, `"merge"`, ...).
+    pub strategy: String,
+    /// End-to-end latency: the root span's duration, gate wait included.
+    pub total: Duration,
+    /// Full query trace (stage timings + counter deltas).
+    pub trace: QueryTrace,
+    /// The query's span tree, rooted at `query`.
+    pub tree: TraceNode,
+    /// W3C trace id of the request, when it carried one.
+    pub trace_id: Option<u128>,
+}
+
+impl ToJson for SlowQuery {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"query\":\"");
+        out.push_str(&json_escape(&self.query));
+        out.push_str("\",\"strategy\":\"");
+        out.push_str(&json_escape(&self.strategy));
+        out.push_str("\",");
+        json_field(out, "total_us", self.total.as_micros());
+        if let Some(id) = self.trace_id {
+            out.push_str(",\"trace_id\":\"");
+            out.push_str(&format!("{id:032x}"));
+            out.push('"');
+        }
+        out.push_str(",\"trace\":");
+        self.trace.write_json(out);
+        out.push_str(",\"tree\":");
+        self.tree.write_json(out);
+        out.push('}');
+    }
+}
+
+/// Bounded log of the most recent slow queries.
+#[derive(Debug)]
+pub struct SlowQueryLog {
+    threshold_ns: AtomicU64,
+    entries: Mutex<VecDeque<SlowQuery>>,
+    capacity: usize,
+}
+
+/// Default slow-query threshold: 100 ms.
+pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(100);
+
+impl Default for SlowQueryLog {
+    fn default() -> SlowQueryLog {
+        SlowQueryLog::new()
+    }
+}
+
+impl SlowQueryLog {
+    /// An empty log keeping the 32 most recent entries, threshold 100 ms.
+    pub fn new() -> SlowQueryLog {
+        SlowQueryLog {
+            threshold_ns: AtomicU64::new(DEFAULT_SLOW_THRESHOLD.as_nanos() as u64),
+            entries: Mutex::new(VecDeque::new()),
+            capacity: 32,
+        }
+    }
+
+    /// Sets the capture threshold; `None` disables capture entirely.
+    pub fn set_threshold(&self, t: Option<Duration>) {
+        let ns = t
+            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+            .unwrap_or(u64::MAX);
+        self.threshold_ns.store(ns, Ordering::Relaxed);
+    }
+
+    /// The capture threshold in nanoseconds (`u64::MAX` = disabled).
+    pub fn threshold_ns(&self) -> u64 {
+        self.threshold_ns.load(Ordering::Relaxed)
+    }
+
+    /// Whether a query of duration `elapsed_ns` should be captured.
+    #[inline]
+    pub fn qualifies(&self, elapsed_ns: u64) -> bool {
+        elapsed_ns >= self.threshold_ns()
+    }
+
+    /// Records one slow query, evicting the oldest past capacity.
+    pub fn record(&self, entry: SlowQuery) {
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        if entries.len() == self.capacity {
+            entries.pop_front();
+        }
+        entries.push_back(entry);
+    }
+
+    /// The retained entries, oldest first.
+    pub fn entries(&self) -> Vec<SlowQuery> {
+        self.entries
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .cloned()
+            .collect()
+    }
+
+    /// Number of retained entries.
+    pub fn len(&self) -> usize {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// Whether the log is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Renders slow-query logs as one JSON object: the first log's
+/// `threshold_ns`, then `entries` — every log's entries, log by log and
+/// oldest first, each led by `"partition":"label"` when its log has one.
+pub(crate) fn render_slow_logs(logs: &[(Option<&str>, &SlowQueryLog)]) -> String {
+    let threshold = logs.first().map_or(u64::MAX, |(_, log)| log.threshold_ns());
+    let mut out = String::from("{");
+    json_field(&mut out, "threshold_ns", threshold);
+    out.push_str(",\"entries\":[");
+    let mut first = true;
+    for (label, log) in logs {
+        for entry in log.entries() {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            let json = entry.to_json();
+            match label {
+                Some(label) => {
+                    out.push_str("{\"partition\":\"");
+                    out.push_str(&json_escape(label));
+                    out.push_str("\",");
+                    out.push_str(&json[1..]);
+                }
+                None => out.push_str(&json),
+            }
+        }
+    }
+    out.push_str("]}");
+    out
+}
+
 /// Milliseconds since the Unix epoch (0 if the clock is before 1970).
 pub fn unix_ms() -> u64 {
     std::time::SystemTime::now()
@@ -370,7 +430,6 @@ pub fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpanJournal;
 
     #[test]
     fn traceparent_round_trips() {
@@ -420,52 +479,28 @@ mod tests {
     }
 
     #[test]
-    fn tree_assembles_from_journal_events() {
-        let j = SpanJournal::new();
-        let root_id;
-        {
-            let root = j.span("query");
-            root_id = root.id();
-            {
-                let _t = j.span("translate");
-            }
-            {
-                let _e = j.span("evaluate:ta");
-            }
-        }
-        let events = j.collect_tree(root_id);
-        let (tree, truncated) = tree_from_events(&events, root_id);
-        let tree = tree.unwrap();
-        assert!(!truncated);
-        assert_eq!(tree.name, "query");
-        assert_eq!(tree.children.len(), 2);
-        assert_eq!(tree.children[0].name, "translate");
-        assert_eq!(tree.children[1].name, "evaluate:ta");
-        assert_eq!(tree.span_count(), 3);
+    fn tree_renders_nested_json() {
+        let tree = TraceNode {
+            name: "query".into(),
+            start_us: 0,
+            duration_us: 9,
+            children: vec![
+                TraceNode {
+                    name: "translate".into(),
+                    duration_us: 2,
+                    ..TraceNode::default()
+                },
+                TraceNode {
+                    name: "evaluate:ta".into(),
+                    start_us: 3,
+                    duration_us: 6,
+                    children: Vec::new(),
+                },
+            ],
+        };
         let json = tree.to_json();
-        assert!(json.contains("\"name\":\"query\""));
-        assert!(json.contains("\"children\":[{"));
-    }
-
-    #[test]
-    fn missing_root_begin_reports_truncation() {
-        let (tree, truncated) = tree_from_events(&[], 7);
-        assert!(tree.is_none());
-        assert!(truncated);
-    }
-
-    #[test]
-    fn unclosed_span_reports_truncation() {
-        let j = SpanJournal::new();
-        let root = j.span("query");
-        let root_id = root.id();
-        let child = j.span("evaluate:merge");
-        std::mem::forget(child); // never ends inside the window
-        let events = j.collect_tree(root_id);
-        let (tree, truncated) = tree_from_events(&events, root_id);
-        assert!(truncated);
-        assert_eq!(tree.unwrap().children.len(), 1);
-        drop(root);
+        assert!(json.starts_with("{\"name\":\"query\",\"start_us\":0,\"duration_us\":9"));
+        assert!(json.contains("\"children\":[{\"name\":\"translate\""));
     }
 
     #[test]
@@ -475,7 +510,6 @@ mod tests {
             store.insert(TraceRecord {
                 trace_id: i,
                 unix_ms: 0,
-                truncated: false,
                 root: TraceNode {
                     name: "query".into(),
                     ..TraceNode::default()
@@ -488,14 +522,54 @@ mod tests {
         store.insert(TraceRecord {
             trace_id: 3,
             unix_ms: 9,
-            truncated: true,
             root: TraceNode::default(),
         });
         assert_eq!(store.len(), 2, "re-filed id replaces, not duplicates");
-        assert!(store.get(3).unwrap().truncated);
+        assert_eq!(store.get(3).unwrap().unix_ms, 9);
         assert_eq!(store.inserted(), 4);
         let json = store.get(3).unwrap().to_json();
         assert!(json.contains("\"trace_id\":\"00000000000000000000000000000003\""));
-        assert!(json.contains("\"truncated\":true"));
+        assert!(json.contains("\"unix_ms\":9"));
+    }
+
+    #[test]
+    fn slow_query_log_bounds_and_renders() {
+        // Capacity eviction + JSON rendering of hostile query text, each
+        // entry carrying its span tree.
+        let log = SlowQueryLog::new();
+        log.set_threshold(Some(Duration::from_millis(5)));
+        assert!(log.qualifies(5_000_000));
+        assert!(!log.qualifies(4_999_999));
+        for i in 0..40 {
+            log.record(SlowQuery {
+                query: format!("//article[about(., \"tab\there\" №{i})]"),
+                strategy: "era".into(),
+                total: Duration::from_millis(6),
+                trace: QueryTrace::default(),
+                tree: TraceNode {
+                    name: "query".into(),
+                    duration_us: 6_000,
+                    ..TraceNode::default()
+                },
+                trace_id: (i % 2 == 0).then_some(0xabcd),
+            });
+        }
+        assert_eq!(log.len(), 32);
+        let json = render_slow_logs(&[(None, &log)]);
+        assert!(json.starts_with("{\"threshold_ns\":5000000,\"entries\":[{\"query\":"));
+        assert!(json.contains("\\\"tab\\there\\\""));
+        assert!(json.contains("№39)"));
+        assert!(json.contains("№8)"));
+        assert!(!json.contains("№7)")); // oldest 8 evicted
+        assert!(json.contains("\"tree\":{\"name\":\"query\",\"start_us\":0,\"duration_us\":6000"));
+        crate::parse_json(&json).expect("slow log JSON stays parseable");
+        let labelled = render_slow_logs(&[(Some("0"), &log), (Some("1"), &log)]);
+        assert_eq!(
+            labelled.matches("{\"partition\":\"1\",\"query\":").count(),
+            32
+        );
+        crate::parse_json(&labelled).expect("labelled slow log JSON stays parseable");
+        log.set_threshold(None);
+        assert!(!log.qualifies(u64::MAX - 1));
     }
 }

@@ -141,8 +141,8 @@ pub struct BufferPool {
 impl BufferPool {
     /// Wraps `pager` with a pool caching up to `capacity` pages, picking a
     /// shard count automatically: the largest power of two that keeps every
-    /// shard at [`MIN_SHARD_CAPACITY`] pages or more, capped at
-    /// [`MAX_SHARDS`]. Small pools (≤ 15 pages) get a single shard and
+    /// shard at `MIN_SHARD_CAPACITY` pages or more, capped at
+    /// `MAX_SHARDS`. Small pools (≤ 15 pages) get a single shard and
     /// behave exactly like the unsharded pool.
     pub fn new(pager: Pager, capacity: usize) -> BufferPool {
         let capacity = capacity.max(MIN_SHARD_CAPACITY);
@@ -155,7 +155,7 @@ impl BufferPool {
 
     /// Wraps `pager` with an explicit shard count (clamped to ≥ 1). Each
     /// shard gets `ceil(capacity / shards)` pages, floored at
-    /// [`MIN_SHARD_CAPACITY`] so tree descents always fit; the effective
+    /// `MIN_SHARD_CAPACITY` so tree descents always fit; the effective
     /// [`BufferPool::capacity`] is never below the requested one.
     pub fn with_shards(pager: Pager, capacity: usize, shards: usize) -> BufferPool {
         let shards = shards.max(1);
@@ -378,7 +378,7 @@ impl BufferPool {
     /// Maximum number of cached pages before eviction kicks in (total
     /// across shards). Never below the capacity requested at construction:
     /// the per-shard share rounds up, and every shard holds at least
-    /// [`MIN_SHARD_CAPACITY`] pages.
+    /// `MIN_SHARD_CAPACITY` pages.
     pub fn capacity(&self) -> usize {
         self.shard_capacity * self.shards.len()
     }

@@ -46,7 +46,7 @@
 //!
 //! # Crash-point injection
 //!
-//! [`CrashPoint`] + [`CrashState`] extend the pager's `inject_write_failures`
+//! [`CrashPoint`] + `CrashState` extend the pager's `inject_write_failures`
 //! pattern into a deterministic kill switch: the *n*-th occurrence of a
 //! chosen write/fsync boundary tears (half-writes) that operation and fails,
 //! after which every subsequent file operation errors — simulating a killed

@@ -400,7 +400,8 @@ impl TrexSystem {
     /// The primary (unlabelled) groups are partition 0's plus the shared
     /// serve layer; with N > 1 every partition's counters are additionally
     /// attached as `partition="i"`-labelled groups, so operators can see
-    /// where fetches, decodes and reconcile work land.
+    /// where fetches, decodes and reconcile work land, and the slow-query
+    /// log serves every partition's entries, each labelled the same way.
     pub fn metrics(&self) -> MetricsRegistry {
         let primary = self.system.part(0);
         let mut registry = MetricsRegistry::new(
@@ -420,6 +421,7 @@ impl TrexSystem {
                         storage: part.index().store().counters().clone(),
                         index: part.index().counters().clone(),
                         selfmanage: part.profiler().counters().clone(),
+                        telemetry: part.index().telemetry().clone(),
                     })
                     .collect(),
             );

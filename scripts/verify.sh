@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, the whole test suite,
-# workspace-wide clippy with warnings denied, and release-mode runs of the
-# suites that need optimised codegen (concurrency stress, crash-recovery
-# matrix, online self-management storm, HTTP serving, partition
-# determinism, tracing/health/advisor journal, block-codec property tests),
-# and the paper's §4 TA-vs-Merge experiment on a small corpus, which must
-# exit 0 so the `experiments` binary cannot rot unseen. Last, the
+# workspace-wide clippy with warnings denied, rustdoc with warnings denied
+# (so no intra-doc link to a renamed or deleted item survives), and
+# release-mode runs of the suites that need optimised codegen (concurrency
+# stress, crash-recovery matrix, online self-management storm, HTTP
+# serving, partition determinism, tracing/health/advisor journal,
+# block-codec property tests), and the paper's §4 TA-vs-Merge experiment
+# on a small corpus, which must exit 0 so the `experiments` binary cannot
+# rot unseen. Last, the
 # macro-benchmark (benchmark/, a cargo package of its own that
 # tier-1 never builds) is held to the current API: its unit tests run, then
 # each of its six workloads runs briefly and must report correct answers —
@@ -28,6 +30,9 @@ cargo test -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test --release --test concurrency =="
 cargo test --release -p trex --test concurrency

@@ -2,12 +2,17 @@
 //! `trex serve --metrics-addr` must answer `/metrics` with valid Prometheus
 //! text exposition (cumulative, `+Inf`-terminated histogram buckets),
 //! `/metrics.json` with well-formed JSON, and `/slow` with the span tree of
-//! a deliberately slow query (threshold 0) whose begin/end pairs nest.
+//! a deliberately slow query (threshold 0) whose spans nest.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::Duration;
+
+use trex::obs::{parse_json, JsonValue};
+
+#[path = "support/span_tree.rs"]
+mod span_tree;
 
 fn trex() -> Command {
     Command::new(env!("CARGO_BIN_EXE_trex"))
@@ -278,29 +283,6 @@ fn validate_prometheus_histograms(text: &str) -> usize {
     checked
 }
 
-/// Pulls a `"field":<digits>` value out of a known-shape JSON object slice.
-fn field_u64(obj: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":");
-    let at = obj
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {field} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad {field} in {obj}"))
-}
-
-fn field_str<'a>(obj: &'a str, field: &str) -> &'a str {
-    let pat = format!("\"{field}\":\"");
-    let at = obj
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {field} in {obj}"));
-    let rest = &obj[at + pat.len()..];
-    &rest[..rest.find('"').expect("closing quote")]
-}
-
 #[test]
 fn serve_metrics_endpoint_end_to_end() {
     let store = temp("serve");
@@ -396,48 +378,17 @@ fn serve_metrics_endpoint_end_to_end() {
     );
     assert!(slow.contains("\"strategy\":\"era\""), "{slow}");
 
-    // Cut the spans array out (span objects contain no brackets) and check
-    // begin/end pairing with a stack, exactly like a trace viewer would.
-    let spans_at = slow.find("\"spans\":[").expect("spans array");
-    let spans = &slow[spans_at + "\"spans\":[".len()..];
-    let spans = &spans[..spans.find(']').expect("spans array end")];
-    let mut stack: Vec<(u64, u64)> = Vec::new(); // (id, parent)
-    let mut names = Vec::new();
-    let mut events = 0;
-    for obj in spans.split("},{") {
-        events += 1;
-        let id = field_u64(obj, "id");
-        let parent = field_u64(obj, "parent");
-        let name = field_str(obj, "name");
-        match field_str(obj, "kind") {
-            "begin" => {
-                let enclosing = stack.last().map(|&(id, _)| id).unwrap_or(parent);
-                assert_eq!(
-                    parent, enclosing,
-                    "span {name} begins under {parent} but {enclosing} is open"
-                );
-                stack.push((id, parent));
-                names.push(name.to_string());
-            }
-            "end" => {
-                let (open, _) = stack
-                    .pop()
-                    .unwrap_or_else(|| panic!("end of {name} with no span open"));
-                assert_eq!(open, id, "end of {name} does not close the innermost span");
-            }
-            other => panic!("unknown kind {other}"),
-        }
-    }
-    assert!(stack.is_empty(), "unclosed spans: {stack:?}");
-    assert!(events >= 4, "expected a tree, got {events} events: {spans}");
-    assert_eq!(names.first().map(String::as_str), Some("query"));
-    assert!(
-        names.iter().any(|n| n == "translate"),
-        "translate child span: {names:?}"
-    );
-    assert!(
-        names.iter().any(|n| n.starts_with("evaluate:")),
-        "evaluate child span: {names:?}"
+    // The entry's span tree nests, exactly like a trace viewer needs it.
+    let slow = parse_json(&slow).expect("slow log parses");
+    let Some(JsonValue::Array(entries)) = slow.get("entries") else {
+        panic!("entries is not an array");
+    };
+    assert_eq!(entries.len(), 1, "one query, one entry");
+    let names = span_tree::check_span_tree(entries[0].get("tree").expect("span tree"));
+    assert_eq!(
+        names,
+        ["query", "translate", "gate_wait", "evaluate:era"],
+        "the query's span tree"
     );
 
     let (status, _) = http_get(&addr, "/nope");
