@@ -12,11 +12,10 @@ use trex_nexi::{parse, translate, Interpretation, Translation, TranslationContex
 use trex_obs::{DriftKind, QueryTrace, SlowQuery, StageTimings, TraceContext, TraceNode};
 use trex_text::Analyzer;
 
-use trex_index::TrexIndex;
+use trex_index::{ListFamily, ListTable, TrexIndex};
 
 use crate::answer::{top_k, Answer};
 use crate::era::{era_with_deadline, EraStats};
-use crate::materialize::{erpls_cover, rpls_cover};
 use crate::merge::{merge_with_deadline, MergeStats};
 use crate::metrics::StrategyMetrics;
 use crate::selfmanage::cost::{
@@ -381,8 +380,14 @@ impl<'a> QueryEngine<'a> {
         // One gate acquisition across both coverage checks and the strategy
         // resolution, so the explanation reflects a single list generation.
         let gate = self.index.maintenance().enter_read();
-        let rpls_available = rpls_cover(self.index, &translation.sids, &translation.terms)?;
-        let erpls_available = erpls_cover(self.index, &translation.sids, &translation.terms)?;
+        let rpls_available = self
+            .index
+            .rpls()?
+            .covers(&translation.sids, &translation.terms)?;
+        let erpls_available = self
+            .index
+            .erpls()?
+            .covers(&translation.sids, &translation.terms)?;
         let chosen = self.resolve_strategy(
             opts.strategy(Strategy::Auto),
             &translation.sids,
@@ -671,8 +676,7 @@ impl<'a> QueryEngine<'a> {
         let k = k.unwrap_or(usize::MAX);
         match strategy {
             Strategy::Ta => {
-                let rpls = self.index.rpls()?;
-                let lists = list_sizes(sids, terms, |t, s| rpls.list_stats(t, s))?;
+                let lists = list_sizes(&self.index.rpls()?, sids, terms)?;
                 if lists.is_empty() {
                     return Ok(());
                 }
@@ -689,8 +693,7 @@ impl<'a> QueryEngine<'a> {
                 );
             }
             Strategy::Merge => {
-                let erpls = self.index.erpls()?;
-                let lists = list_sizes(sids, terms, |t, s| erpls.list_stats(t, s))?;
+                let lists = list_sizes(&self.index.erpls()?, sids, terms)?;
                 if lists.is_empty() {
                     return Ok(());
                 }
@@ -727,18 +730,13 @@ impl<'a> QueryEngine<'a> {
         // `evaluate_translated` takes its own read guard, and the std lock
         // underneath is not reentrant.
         let gate = self.index.maintenance().enter_read();
-        let ta_lists = if rpls_cover(self.index, &sids, &terms)? {
-            let rpls = self.index.rpls()?;
-            Some(list_sizes(&sids, &terms, |t, s| rpls.list_stats(t, s))?)
-        } else {
-            None
-        };
-        let merge_lists = if erpls_cover(self.index, &sids, &terms)? {
-            let erpls = self.index.erpls()?;
-            Some(list_sizes(&sids, &terms, |t, s| erpls.list_stats(t, s))?)
-        } else {
-            None
-        };
+        let (rpls, erpls) = (self.index.rpls()?, self.index.erpls()?);
+        let ta_lists = (rpls.covers(&sids, &terms)?)
+            .then(|| list_sizes(&rpls, &sids, &terms))
+            .transpose()?;
+        let merge_lists = (erpls.covers(&sids, &terms)?)
+            .then(|| list_sizes(&erpls, &sids, &terms))
+            .transpose()?;
         drop(gate);
 
         if let Some(lists) = ta_lists {
@@ -827,8 +825,8 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<Strategy> {
         match opts.strategy {
             Strategy::Auto => {
-                let has_rpls = rpls_cover(self.index, sids, terms)?;
-                let has_erpls = erpls_cover(self.index, sids, terms)?;
+                let has_rpls = self.index.rpls()?.covers(sids, terms)?;
+                let has_erpls = self.index.erpls()?.covers(sids, terms)?;
                 // Paper §5.2: TA wins only for very small k; Merge dominates
                 // otherwise. ERA is the universal fallback. TA is off the
                 // table entirely beyond its 64-term bitmask — Auto must
@@ -854,7 +852,7 @@ impl<'a> QueryEngine<'a> {
                 Ok(chosen)
             }
             Strategy::Ta => {
-                if !rpls_cover(self.index, sids, terms)? {
+                if !self.index.rpls()?.covers(sids, terms)? {
                     return Err(TrexError::MissingIndex(
                         "TA requires the query's RPL lists; materialise them first".into(),
                     ));
@@ -862,7 +860,7 @@ impl<'a> QueryEngine<'a> {
                 Ok(Strategy::Ta)
             }
             Strategy::Merge => {
-                if !erpls_cover(self.index, sids, terms)? {
+                if !self.index.erpls()?.covers(sids, terms)? {
                     return Err(TrexError::MissingIndex(
                         "Merge requires the query's ERPL lists; materialise them first".into(),
                     ));
@@ -914,26 +912,15 @@ fn span_tree(
 }
 
 /// The `(entries, blocks)` of every materialised `(term, sid)` list of one
-/// family (`list_stats` is [`RplTable::list_stats`] or
-/// [`ErplTable::list_stats`]), term-major — the §4 cost model's inputs.
-///
-/// [`RplTable::list_stats`]: trex_index::RplTable::list_stats
-/// [`ErplTable::list_stats`]: trex_index::ErplTable::list_stats
-fn list_sizes(
+/// family, term-major — the §4 cost model's inputs.
+fn list_sizes<F: ListFamily>(
+    table: &ListTable<F>,
     sids: &[trex_summary::Sid],
     terms: &[trex_text::TermId],
-    list_stats: impl Fn(
-        trex_text::TermId,
-        trex_summary::Sid,
-    ) -> trex_storage::Result<Option<trex_index::ListStats>>,
 ) -> Result<Vec<(u64, u64)>> {
-    let mut lists = Vec::new();
-    for &term in terms {
-        for &sid in sids {
-            if let Some(s) = list_stats(term, sid)? {
-                lists.push((s.entries, s.blocks));
-            }
-        }
-    }
-    Ok(lists)
+    Ok(table
+        .lists_of(sids, terms)?
+        .iter()
+        .map(|(_, _, s)| (s.entries, s.blocks))
+        .collect())
 }

@@ -31,11 +31,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use trex_index::catalog::{self, blob_names, TermStats};
-use trex_index::{DocStoreWriter, Position, TrexIndex};
+use trex_index::{DocStoreWriter, ListFamily, ListTable, Position, TrexIndex};
 use trex_summary::Sid;
 use trex_text::{Dictionary, TermId};
 
-use crate::materialize::collect_lists;
+use crate::materialize::{collect_lists, ScoredLists};
 use crate::partition::PartitionedSystem;
 use crate::worker::BackgroundWorker;
 use crate::{Result, TrexError};
@@ -244,33 +244,23 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
         let folded_terms: BTreeSet<TermId> = staged.keys().copied().collect();
         let mut rpls = index.rpls()?;
         let mut erpls = index.erpls()?;
-        let mut affected: BTreeMap<TermId, (BTreeSet<Sid>, BTreeSet<Sid>)> = BTreeMap::new();
-        for (term, sid, _) in rpls.lists()? {
-            if folded_terms.contains(&term) {
-                affected.entry(term).or_default().0.insert(sid);
-            }
-        }
-        for (term, sid, _) in erpls.lists()? {
-            if folded_terms.contains(&term) {
-                affected.entry(term).or_default().1.insert(sid);
+        // Folded term → the sids of its lists, per family (RPLs, ERPLs).
+        let mut affected: BTreeMap<TermId, [BTreeSet<Sid>; 2]> = BTreeMap::new();
+        for (family, lists) in [rpls.lists()?, erpls.lists()?].into_iter().enumerate() {
+            for (term, sid, _) in lists {
+                if folded_terms.contains(&term) {
+                    affected.entry(term).or_default()[family].insert(sid);
+                }
             }
         }
         let mut refreshed = 0usize;
-        for (term, (rpl_sids, erpl_sids)) in &affected {
+        for (&term, [rpl_sids, erpl_sids]) in &affected {
             let all_sids: Vec<Sid> = rpl_sids.union(erpl_sids).copied().collect();
             // The tables already contain the folded documents, so this ERA
             // pass produces the post-fold lists.
-            let lists = collect_lists(index, &all_sids, &[*term])?;
-            for &sid in rpl_sids {
-                let entries = lists.get(&(*term, sid)).map(Vec::as_slice).unwrap_or(&[]);
-                rpls.put_list(*term, sid, entries)?;
-                refreshed += 1;
-            }
-            for &sid in erpl_sids {
-                let entries = lists.get(&(*term, sid)).map(Vec::as_slice).unwrap_or(&[]);
-                erpls.put_list(*term, sid, entries)?;
-                refreshed += 1;
-            }
+            let lists = collect_lists(index, &all_sids, &[term])?;
+            refreshed += refresh(&mut rpls, term, rpl_sids, &lists)?;
+            refreshed += refresh(&mut erpls, term, erpl_sids, &lists)?;
         }
         lists_refreshed = refreshed;
     } // gate drops here: generation bumps, caches invalidate, queries resume
@@ -292,6 +282,21 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
         wall: started.elapsed(),
         generation: index.maintenance().generation(),
     }))
+}
+
+/// Rewrites `table`'s lists of `term` over `sids` from the scored `lists`
+/// of one ERA pass; returns how many lists it wrote.
+fn refresh<F: ListFamily>(
+    table: &mut ListTable<F>,
+    term: TermId,
+    sids: &BTreeSet<Sid>,
+    lists: &ScoredLists,
+) -> Result<usize> {
+    for &sid in sids {
+        let entries = lists.get(&(term, sid)).map(Vec::as_slice).unwrap_or(&[]);
+        table.put_list(term, sid, entries)?;
+    }
+    Ok(sids.len())
 }
 
 /// Folds `indexes` one after another and merges their reports: counts and

@@ -37,9 +37,7 @@ pub use engine::{EvalOptions, Explain, QueryEngine, QueryResult, Strategy, Strat
 pub use era::{era, era_with_deadline, EraMatch, EraStats};
 pub use heap::{HeapClock, HeapPolicy, TopKHeap};
 pub use ingest::{fold_once, FoldManager, FoldOptions, FoldReport};
-pub use materialize::{
-    collect_lists, erpls_cover, materialize, materialize_batch, rpls_cover, ListKind, ScoredLists,
-};
+pub use materialize::{collect_lists, materialize, materialize_batch, ListKind, ScoredLists};
 pub use merge::{merge, merge_with_deadline, MergeStats};
 pub use metrics::StrategyMetrics;
 pub use partition::{

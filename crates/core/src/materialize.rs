@@ -12,10 +12,10 @@
 //! the batch form repeatedly and checkpoint once at the end of the cycle
 //! instead of once per query.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
-use trex_index::blocks;
-use trex_index::{ElementRef, TrexIndex};
+use trex_index::{ElementRef, ListFamily, ListStats, ListTable, TrexIndex};
 use trex_summary::Sid;
 use trex_text::TermId;
 
@@ -69,20 +69,6 @@ pub fn collect_lists(index: &TrexIndex, sids: &[Sid], terms: &[TermId]) -> Resul
         }
     }
     Ok(lists)
-}
-
-/// Exact on-disk footprint `RplTable::put_list` would record for this list —
-/// shares the block encoder with the write path, so the advisor's budget
-/// arithmetic (estimates vs the registry's actuals) balances to the byte.
-pub fn rpl_list_bytes(term: TermId, sid: Sid, entries: &[(ElementRef, f32)]) -> u64 {
-    let _ = (term, sid); // block keys are fixed-width; size is list-shape only
-    blocks::rpl_list_size(entries).1
-}
-
-/// Exact on-disk footprint `ErplTable::put_list` would record for this list.
-pub fn erpl_list_bytes(term: TermId, sid: Sid, entries: &[(ElementRef, f32)]) -> u64 {
-    let _ = (term, sid);
-    blocks::erpl_list_size(entries).1
 }
 
 /// Materialises the lists needed to evaluate `(sids, terms)` with TA
@@ -140,30 +126,27 @@ pub fn materialize(
     Ok(written)
 }
 
-/// Whether every (term, sid) RPL needed by the query is materialised
-/// (precondition for TA).
-pub fn rpls_cover(index: &TrexIndex, sids: &[Sid], terms: &[TermId]) -> Result<bool> {
-    let rpls = index.rpls()?;
-    for &term in terms {
-        for &sid in sids {
-            if !rpls.has_list(term, sid)? {
-                return Ok(false);
+/// Drops every list of `table` whose `(term, sid)` is not in `keep`, each
+/// drop under the index's maintenance write gate so queries interleave
+/// between drops, and hands each dropped list to `on_drop`. Returns the
+/// summed time spent waiting for and holding the gate.
+pub(crate) fn drop_unkept<F: ListFamily>(
+    index: &TrexIndex,
+    table: &mut ListTable<F>,
+    keep: &HashSet<(TermId, Sid)>,
+    mut on_drop: impl FnMut(TermId, Sid, ListStats),
+) -> Result<Duration> {
+    let mut gated = Duration::ZERO;
+    for (term, sid, stats) in table.lists()? {
+        if !keep.contains(&(term, sid)) {
+            let started = Instant::now();
+            {
+                let _gate = index.maintenance().enter_write();
+                table.drop_list(term, sid)?;
             }
+            gated += started.elapsed();
+            on_drop(term, sid, stats);
         }
     }
-    Ok(true)
-}
-
-/// Whether every (term, sid) ERPL needed by the query is materialised
-/// (precondition for Merge).
-pub fn erpls_cover(index: &TrexIndex, sids: &[Sid], terms: &[TermId]) -> Result<bool> {
-    let erpls = index.erpls()?;
-    for &term in terms {
-        for &sid in sids {
-            if !erpls.has_list(term, sid)? {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
+    Ok(gated)
 }

@@ -9,15 +9,14 @@
 //! registries, runs the selection algorithm, and finally drops every list
 //! the selection did not keep.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use trex_index::TrexIndex;
+use trex_index::{ListFamily, ListTable, TrexIndex};
 use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::engine::{EvalOptions, QueryEngine, Strategy};
-use crate::materialize::{materialize_batch, ListKind};
+use crate::materialize::{drop_unkept, materialize_batch, ListKind};
 use crate::Result;
 
 use super::cost::{Choice, ListId, QueryCost, Selection};
@@ -118,36 +117,13 @@ impl<'a> Advisor<'a> {
                 )
             })?;
 
-            let rpls = self.index.rpls()?;
-            let erpls = self.index.erpls()?;
-            let mut rpl_lists = Vec::new();
-            let mut erpl_lists = Vec::new();
-            for &term in &terms {
-                for &sid in &sids {
-                    if let Some(s) = rpls.list_stats(term, sid)? {
-                        rpl_lists.push(ListId {
-                            term,
-                            sid,
-                            bytes: s.bytes,
-                        });
-                    }
-                    if let Some(s) = erpls.list_stats(term, sid)? {
-                        erpl_lists.push(ListId {
-                            term,
-                            sid,
-                            bytes: s.bytes,
-                        });
-                    }
-                }
-            }
-
             costs.push(QueryCost {
                 frequency: wq.frequency,
                 measured_era: t_e.as_secs_f64(),
                 delta_merge: (t_e.as_secs_f64() - t_m.as_secs_f64()).max(0.0),
                 delta_ta: (t_e.as_secs_f64() - t_ta.as_secs_f64()).max(0.0),
-                erpl_lists,
-                rpl_lists,
+                erpl_lists: registered(&self.index.erpls()?, &sids, &terms)?,
+                rpl_lists: registered(&self.index.rpls()?, &sids, &terms)?,
             });
         }
         self.index.store().flush()?;
@@ -176,33 +152,16 @@ impl<'a> Advisor<'a> {
         };
 
         // Reconcile the store: keep exactly the selected lists.
-        let mut keep_rpl: HashSet<(TermId, Sid)> = HashSet::new();
-        let mut keep_erpl: HashSet<(TermId, Sid)> = HashSet::new();
-        for (choice, cost) in selection.choices.iter().zip(&costs) {
-            match choice {
-                Choice::None => {}
-                Choice::Erpl => keep_erpl.extend(cost.erpl_lists.iter().map(|l| (l.term, l.sid))),
-                Choice::Rpl => keep_rpl.extend(cost.rpl_lists.iter().map(|l| (l.term, l.sid))),
-            }
-        }
-
-        let mut dropped = 0usize;
         let mut rpls = self.index.rpls()?;
-        for (term, sid, _) in rpls.lists()? {
-            if !keep_rpl.contains(&(term, sid)) {
-                let _gate = self.index.maintenance().enter_write();
-                rpls.drop_list(term, sid)?;
-                dropped += 1;
-            }
-        }
         let mut erpls = self.index.erpls()?;
-        for (term, sid, _) in erpls.lists()? {
-            if !keep_erpl.contains(&(term, sid)) {
-                let _gate = self.index.maintenance().enter_write();
-                erpls.drop_list(term, sid)?;
-                dropped += 1;
-            }
-        }
+        let mut dropped = 0usize;
+        let kept = |family| selection.kept(&costs, family);
+        drop_unkept(self.index, &mut rpls, &kept(Choice::Rpl), |_, _, _| {
+            dropped += 1
+        })?;
+        drop_unkept(self.index, &mut erpls, &kept(Choice::Erpl), |_, _, _| {
+            dropped += 1
+        })?;
         self.index.store().flush()?;
 
         let bytes_used = rpls.total_bytes()? + erpls.total_bytes()?;
@@ -215,4 +174,22 @@ impl<'a> Advisor<'a> {
             lists_dropped: dropped,
         })
     }
+}
+
+/// The materialised lists of one family among `terms × sids`, with their
+/// registry sizes.
+fn registered<F: ListFamily>(
+    table: &ListTable<F>,
+    sids: &[Sid],
+    terms: &[TermId],
+) -> Result<Vec<ListId>> {
+    Ok(table
+        .lists_of(sids, terms)?
+        .into_iter()
+        .map(|(term, sid, stats)| ListId {
+            term,
+            sid,
+            bytes: stats.bytes,
+        })
+        .collect())
 }

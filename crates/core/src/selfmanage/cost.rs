@@ -11,6 +11,8 @@
 //! (constraint (1) of §4.1: `x_i1 + x_i2 ≤ 1`). The objective is the
 //! frequency-weighted saving; the constraint is the disk budget `d`.
 
+use std::collections::HashSet;
+
 use trex_obs::{json_escape, json_field, ToJson};
 use trex_summary::Sid;
 use trex_text::TermId;
@@ -182,10 +184,19 @@ impl QueryCost {
     pub fn s_rpl(&self) -> u64 {
         self.rpl_lists.iter().map(|l| l.bytes).sum()
     }
+
+    /// The lists `choice` needs on disk: the ERPLs, the RPLs, or none.
+    pub fn lists(&self, choice: Choice) -> &[ListId] {
+        match choice {
+            Choice::None => &[],
+            Choice::Erpl => &self.erpl_lists,
+            Choice::Rpl => &self.rpl_lists,
+        }
+    }
 }
 
 /// Per-query decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Choice {
     /// Store nothing; the query runs with ERA.
     #[default]
@@ -242,30 +253,29 @@ impl Selection {
     /// queries sharing lists share the space (the greedy model of §4.2,
     /// where each step adds only the *missing* lists `I_m` / `I_ta`).
     pub fn space_shared(&self, costs: &[QueryCost]) -> u64 {
-        use std::collections::HashSet;
-        let mut erpl: HashSet<(TermId, Sid)> = HashSet::new();
-        let mut rpl: HashSet<(TermId, Sid)> = HashSet::new();
+        let mut seen: HashSet<(Choice, TermId, Sid)> = HashSet::new();
         let mut total = 0u64;
-        for (c, q) in self.choices.iter().zip(costs) {
-            match c {
-                Choice::None => {}
-                Choice::Erpl => {
-                    for l in &q.erpl_lists {
-                        if erpl.insert((l.term, l.sid)) {
-                            total += l.bytes;
-                        }
-                    }
-                }
-                Choice::Rpl => {
-                    for l in &q.rpl_lists {
-                        if rpl.insert((l.term, l.sid)) {
-                            total += l.bytes;
-                        }
-                    }
+        for (&c, q) in self.choices.iter().zip(costs) {
+            for l in q.lists(c) {
+                if seen.insert((c, l.term, l.sid)) {
+                    total += l.bytes;
                 }
             }
         }
         total
+    }
+
+    /// The `(term, sid)` pairs of the `family` lists (`Choice::Rpl` or
+    /// `Choice::Erpl`) the selection keeps on disk — everything else of
+    /// that family is dropped when the store is reconciled to it.
+    pub(crate) fn kept(&self, costs: &[QueryCost], family: Choice) -> HashSet<(TermId, Sid)> {
+        self.choices
+            .iter()
+            .zip(costs)
+            .filter(|&(&c, _)| c == family)
+            .flat_map(|(_, q)| q.lists(family))
+            .map(|l| (l.term, l.sid))
+            .collect()
     }
 }
 

@@ -27,15 +27,17 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use trex_index::TrexIndex;
+use trex_index::blocks::list_size;
+use trex_index::{Erpl, ListFamily, ListTable, Rpl, TrexIndex};
 use trex_obs::{
-    AdvisorJournal, CycleRecord, Health, InFlight, ListDeltaRecord, ShapeRecord, SplitRecord,
+    AdvisorJournal, CycleRecord, Health, InFlight, ListDeltaRecord, SelfManageCounters,
+    ShapeRecord, SplitRecord,
 };
 use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::engine::{EvalOptions, QueryEngine, Strategy};
-use crate::materialize::{collect_lists, erpl_list_bytes, rpl_list_bytes, ScoredLists};
+use crate::materialize::{collect_lists, drop_unkept, ScoredLists};
 use crate::partition::{reconcile_partitioned, PartitionedCycle, PartitionedSystem};
 use crate::ta::TA_MAX_TERMS;
 use crate::worker::BackgroundWorker;
@@ -255,137 +257,48 @@ pub fn reconcile_once(
         SelectionMethod::Greedy => solve_greedy(&costs, opts.budget_bytes),
     };
 
-    // The lists the selection wants on disk.
-    let mut keep_rpl: HashSet<(TermId, Sid)> = HashSet::new();
-    let mut keep_erpl: HashSet<(TermId, Sid)> = HashSet::new();
-    for (choice, cost) in selection.choices.iter().zip(&costs) {
-        match choice {
-            Choice::None => {}
-            Choice::Erpl => keep_erpl.extend(cost.erpl_lists.iter().map(|l| (l.term, l.sid))),
-            Choice::Rpl => keep_rpl.extend(cost.rpl_lists.iter().map(|l| (l.term, l.sid))),
-        }
-    }
-
     // Apply the delta. Drops FIRST, so the registry never holds more than
     // max(old bytes, budget) at any instant and frees space for the adds.
     let sw_apply = telemetry.maint.start();
     let mut rpls = index.rpls()?;
     let mut erpls = index.erpls()?;
-    let mut dropped = 0usize;
-    let mut deltas: Vec<ListDeltaRecord> = Vec::new();
-    let mut gate_pause = Duration::ZERO;
-    // The journal wants the human-readable term, not the id; a missing
-    // dictionary entry (never expected) degrades to "#id".
-    let term_text = |term: TermId| {
-        index
-            .dictionary()
-            .term(term)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("#{term}"))
+    let mut apply = Apply {
+        index,
+        counters: &counters,
+        budget_bytes: opts.budget_bytes,
+        bytes_now: 0,
+        written: 0,
+        dropped: 0,
+        deltas: Vec::new(),
+        gate_pause: Duration::ZERO,
     };
-    for (term, sid, stats) in rpls.lists()? {
-        if !keep_rpl.contains(&(term, sid)) {
-            let gate_started = Instant::now();
-            {
-                let _gate = index.maintenance().enter_write();
-                rpls.drop_list(term, sid)?;
-            }
-            gate_pause += gate_started.elapsed();
-            dropped += 1;
-            counters.lists_dropped.incr();
-            counters.bytes_dropped.add(stats.bytes);
-            deltas.push(ListDeltaRecord {
-                partition: 0,
-                term: term_text(term),
-                sid: sid as u64,
-                kind: "rpl".to_string(),
-                action: "drop".to_string(),
-                bytes: stats.bytes,
-            });
-        }
-    }
-    for (term, sid, stats) in erpls.lists()? {
-        if !keep_erpl.contains(&(term, sid)) {
-            let gate_started = Instant::now();
-            {
-                let _gate = index.maintenance().enter_write();
-                erpls.drop_list(term, sid)?;
-            }
-            gate_pause += gate_started.elapsed();
-            dropped += 1;
-            counters.lists_dropped.incr();
-            counters.bytes_dropped.add(stats.bytes);
-            deltas.push(ListDeltaRecord {
-                partition: 0,
-                term: term_text(term),
-                sid: sid as u64,
-                kind: "erpl".to_string(),
-                action: "drop".to_string(),
-                bytes: stats.bytes,
-            });
-        }
-    }
+    apply.drop_unkept(&mut rpls, &selection.kept(&costs, Choice::Rpl))?;
+    apply.drop_unkept(&mut erpls, &selection.kept(&costs, Choice::Erpl))?;
 
     // Add the missing lists, gated on the budget as a hard invariant: the
     // greedy/LP space accounting and our exact footprints should already
     // guarantee it, but the registry must never exceed the budget even if
     // an estimate drifts.
-    let mut bytes_now = rpls.total_bytes()? + erpls.total_bytes()?;
-    let mut written = 0usize;
-    // One ERA pass per query that actually needs new lists, memoised for
-    // queries sharing a shape within the cycle.
-    let mut entries_memo: HashMap<usize, ScoredLists> = HashMap::new();
-    for (i, (choice, cost)) in selection.choices.iter().zip(&costs).enumerate() {
-        let (lists, is_rpl) = match choice {
-            Choice::None => continue,
-            Choice::Erpl => (&cost.erpl_lists, false),
-            Choice::Rpl => (&cost.rpl_lists, true),
-        };
-        for list in lists {
-            let present = if is_rpl {
-                rpls.has_list(list.term, list.sid)?
-            } else {
-                erpls.has_list(list.term, list.sid)?
-            };
-            if present {
-                continue;
-            }
-            if bytes_now + list.bytes > opts.budget_bytes {
-                continue; // belt-and-braces; see above
-            }
-            if let std::collections::hash_map::Entry::Vacant(slot) = entries_memo.entry(i) {
-                let key = (workload.queries()[i].nexi.clone(), workload.queries()[i].k);
-                let cached = &cache.by_query[&key];
-                slot.insert(collect_lists(index, &cached.sids, &cached.terms)?);
-            }
-            let entries = entries_memo[&i]
-                .get(&(list.term, list.sid))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let gate_started = Instant::now();
-            {
-                let _gate = index.maintenance().enter_write();
-                if is_rpl {
-                    rpls.put_list(list.term, list.sid, entries)?;
-                } else {
-                    erpls.put_list(list.term, list.sid, entries)?;
-                }
-            }
-            gate_pause += gate_started.elapsed();
-            bytes_now += list.bytes;
-            written += 1;
-            counters.lists_materialized.incr();
-            counters.bytes_materialized.add(list.bytes);
-            deltas.push(ListDeltaRecord {
-                partition: 0,
-                term: term_text(list.term),
-                sid: list.sid as u64,
-                kind: if is_rpl { "rpl" } else { "erpl" }.to_string(),
-                action: "add".to_string(),
-                bytes: list.bytes,
-            });
+    apply.bytes_now = rpls.total_bytes()? + erpls.total_bytes()?;
+    for (wq, (&choice, cost)) in workload
+        .queries()
+        .iter()
+        .zip(selection.choices.iter().zip(&costs))
+    {
+        let query = &cache.by_query[&(wq.nexi.clone(), wq.k)];
+        match choice {
+            Choice::None => {}
+            Choice::Rpl => apply.add_missing(&mut rpls, &cost.rpl_lists, query)?,
+            Choice::Erpl => apply.add_missing(&mut erpls, &cost.erpl_lists, query)?,
         }
     }
+    let Apply {
+        written,
+        dropped,
+        deltas,
+        gate_pause,
+        ..
+    } = apply;
 
     telemetry.maint.reconcile_apply.observe(&sw_apply);
 
@@ -411,6 +324,99 @@ pub fn reconcile_once(
         gate_pause,
         wall: cycle_started.elapsed(),
     })
+}
+
+/// The apply phase of one reconcile cycle: its running tallies and journal
+/// records, shared by both list families.
+struct Apply<'a> {
+    index: &'a TrexIndex,
+    counters: &'a SelfManageCounters,
+    budget_bytes: u64,
+    /// Registry bytes (RPLs + ERPLs) after the mutations so far.
+    bytes_now: u64,
+    written: usize,
+    dropped: usize,
+    deltas: Vec<ListDeltaRecord>,
+    gate_pause: Duration,
+}
+
+impl Apply<'_> {
+    /// Drops every list of `table` not in `keep`.
+    fn drop_unkept<F: ListFamily>(
+        &mut self,
+        table: &mut ListTable<F>,
+        keep: &HashSet<(TermId, Sid)>,
+    ) -> Result<()> {
+        let index = self.index;
+        let gated = drop_unkept(index, table, keep, |term, sid, stats| {
+            self.dropped += 1;
+            self.counters.lists_dropped.incr();
+            self.counters.bytes_dropped.add(stats.bytes);
+            self.record::<F>(term, sid, "drop", stats.bytes);
+        })?;
+        self.gate_pause += gated;
+        Ok(())
+    }
+
+    /// Writes every list of `lists` that `table` lacks and the budget still
+    /// fits, each under the write gate. The entries come from one ERA pass
+    /// over `query`'s extents, run only if some list is written.
+    fn add_missing<F: ListFamily>(
+        &mut self,
+        table: &mut ListTable<F>,
+        lists: &[ListId],
+        query: &CachedCost,
+    ) -> Result<()> {
+        let mut scored: Option<ScoredLists> = None;
+        for list in lists {
+            if table.has_list(list.term, list.sid)? {
+                continue;
+            }
+            if self.bytes_now + list.bytes > self.budget_bytes {
+                continue;
+            }
+            if scored.is_none() {
+                scored = Some(collect_lists(self.index, &query.sids, &query.terms)?);
+            }
+            let entries = scored
+                .as_ref()
+                .and_then(|lists| lists.get(&(list.term, list.sid)))
+                .map(Vec::as_slice)
+                .unwrap_or(&[]);
+            let gate_started = Instant::now();
+            {
+                let _gate = self.index.maintenance().enter_write();
+                table.put_list(list.term, list.sid, entries)?;
+            }
+            self.gate_pause += gate_started.elapsed();
+            self.bytes_now += list.bytes;
+            self.written += 1;
+            self.counters.lists_materialized.incr();
+            self.counters.bytes_materialized.add(list.bytes);
+            self.record::<F>(list.term, list.sid, "add", list.bytes);
+        }
+        Ok(())
+    }
+
+    /// Journals one list mutation. The journal wants the human-readable
+    /// term, not the id; a missing dictionary entry (never expected)
+    /// degrades to "#id".
+    fn record<F: ListFamily>(&mut self, term: TermId, sid: Sid, action: &str, bytes: u64) {
+        let term = self
+            .index
+            .dictionary()
+            .term(term)
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("#{term}"));
+        self.deltas.push(ListDeltaRecord {
+            partition: 0,
+            term,
+            sid: sid as u64,
+            kind: F::NAME.to_string(),
+            action: action.to_string(),
+            bytes,
+        });
+    }
 }
 
 /// Converts a completed cycle into the structured journal entry the
@@ -536,8 +542,7 @@ fn measure_query(
     let lists = collect_lists(index, &sids, &terms)?;
     let mut rpl_lists = Vec::new();
     let mut erpl_lists = Vec::new();
-    let mut rpl_entry_counts = Vec::new();
-    let mut erpl_entry_counts = Vec::new();
+    let mut entry_counts = Vec::new();
     for &term in &terms {
         for &sid in &sids {
             let mut entries = lists.get(&(term, sid)).cloned().unwrap_or_default();
@@ -548,15 +553,14 @@ fn measure_query(
             rpl_lists.push(ListId {
                 term,
                 sid,
-                bytes: rpl_list_bytes(term, sid, &entries),
+                bytes: list_size::<Rpl>(&entries).1,
             });
             erpl_lists.push(ListId {
                 term,
                 sid,
-                bytes: erpl_list_bytes(term, sid, &entries),
+                bytes: list_size::<Erpl>(&entries).1,
             });
-            rpl_entry_counts.push(entries.len() as u64);
-            erpl_entry_counts.push(entries.len() as u64);
+            entry_counts.push(entries.len() as u64);
         }
     }
 
@@ -578,8 +582,8 @@ fn measure_query(
     let t_e = times[times.len() / 2].as_secs_f64();
     let unit = t_e / era_accesses as f64;
 
-    let t_m = unit * predicted_merge_accesses(&erpl_entry_counts) as f64;
-    let t_ta = unit * predicted_ta_accesses(&rpl_entry_counts, k);
+    let t_m = unit * predicted_merge_accesses(&entry_counts) as f64;
+    let t_ta = unit * predicted_ta_accesses(&entry_counts, k);
     // TA is infeasible past its bitmask arity; a zero delta keeps the
     // solvers from ever choosing it.
     let delta_ta = if terms.len() > TA_MAX_TERMS {

@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn corrupt_nan_score_is_an_error_not_a_panic() {
         use trex_index::blocks::block_key;
-        use trex_index::rpl::RPLS_TABLE;
+        use trex_index::{ListFamily, Rpl};
         use trex_storage::codec::{inverted_score_bits, varint_len};
 
         let mut path = std::env::temp_dir();
@@ -508,7 +508,7 @@ mod tests {
         // first-score field with bits that decode to NaN. `put_list` can
         // never write this (it debug-asserts finite scores), so go
         // underneath it and flip the bytes on disk.
-        let mut table = store.open_table(RPLS_TABLE).unwrap();
+        let mut table = store.open_table(Rpl::TABLE).unwrap();
         let key = block_key(1, 10, 0);
         let mut value = table.get(&key).unwrap().expect("block 0 exists");
         let off = varint_len(2); // count varint precedes first_inv

@@ -48,6 +48,7 @@ use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::encode::{validate_span, ElementRef, Position, RplEntry};
+use crate::registry::{ListFamily, ListStats};
 
 /// Maximum entries per block. 128 keeps a worst-case block within one page
 /// cell and bounds the decode cost a single skip check can save.
@@ -86,11 +87,14 @@ impl Default for BlockLimits {
 // Keys
 // ---------------------------------------------------------------------------
 
+/// Bytes of one block key: `term · sid · block_no`, a `u32` each.
+const BLOCK_KEY_LEN: usize = 12;
+
 /// Encodes a block key `(term, sid, block_no)`. Ascending `block_no` order
 /// equals list order, so a list's blocks are both point-addressable (lazy
 /// fetch, per-list delete) and prefix-scannable.
 pub fn block_key(term: TermId, sid: Sid, block_no: u32) -> Vec<u8> {
-    let mut k = Vec::with_capacity(12);
+    let mut k = Vec::with_capacity(BLOCK_KEY_LEN);
     put_u32(&mut k, term);
     put_u32(&mut k, sid);
     put_u32(&mut k, block_no);
@@ -502,20 +506,29 @@ fn erpl_entry_len(prev: Option<ElementRef>, e: ElementRef) -> usize {
 // Sizing
 // ---------------------------------------------------------------------------
 
-/// Blocks and on-disk bytes (keys + values) a normalised RPL list will
-/// occupy under the default limits — shares the encoder with the write path,
-/// so the advisor's cost estimates match `put_list` accounting exactly.
-pub fn rpl_list_size(entries: &[(ElementRef, f32)]) -> (u64, u64) {
-    let blocks = encode_rpl_list(&normalize_rpl(entries), BlockLimits::default());
-    let bytes = blocks.iter().map(|b| (12 + b.len()) as u64).sum();
-    (blocks.len() as u64, bytes)
+/// Normalises and encodes `entries` as family `F`'s block values, with the
+/// size bookkeeping (keys + values) `put_list` records for them.
+pub(crate) fn encode_list<F: ListFamily>(
+    entries: &[(ElementRef, f32)],
+) -> (Vec<Vec<u8>>, ListStats) {
+    let (count, blocks) = F::encode(entries);
+    let stats = ListStats {
+        entries: count as u64,
+        bytes: blocks
+            .iter()
+            .map(|b| (BLOCK_KEY_LEN + b.len()) as u64)
+            .sum(),
+        blocks: blocks.len() as u64,
+    };
+    (blocks, stats)
 }
 
-/// Blocks and on-disk bytes for a normalised ERPL list; see [`rpl_list_size`].
-pub fn erpl_list_size(entries: &[(ElementRef, f32)]) -> (u64, u64) {
-    let blocks = encode_erpl_list(&normalize_erpl(entries), BlockLimits::default());
-    let bytes = blocks.iter().map(|b| (12 + b.len()) as u64).sum();
-    (blocks.len() as u64, bytes)
+/// Blocks and on-disk bytes (keys + values) `put_list` records for
+/// `entries` in family `F` — the same `encode_list` the write path runs,
+/// so the advisor's estimates match the registry's actuals to the byte.
+pub fn list_size<F: ListFamily>(entries: &[(ElementRef, f32)]) -> (u64, u64) {
+    let (_, stats) = encode_list::<F>(entries);
+    (stats.blocks, stats.bytes)
 }
 
 /// Bytes the *seed* one-record-per-entry layout would charge for an RPL list
@@ -540,6 +553,7 @@ pub fn seed_erpl_list_bytes(entries: &[(ElementRef, f32)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{Erpl, Rpl};
 
     fn el(doc: u32, end: u32, length: u32) -> ElementRef {
         ElementRef { doc, end, length }
@@ -708,7 +722,7 @@ mod tests {
         let list: Vec<(ElementRef, f32)> = (0..500)
             .map(|i| (el(i / 50, (i % 50) * 3 + 2, 3), (i % 17) as f32 * 0.5))
             .collect();
-        let (blocks, bytes) = rpl_list_size(&list);
+        let (blocks, bytes) = list_size::<Rpl>(&list);
         let encoded = encode_rpl_list(&rpl_entries(&list), BlockLimits::default());
         assert_eq!(blocks, encoded.len() as u64);
         assert_eq!(
@@ -716,7 +730,7 @@ mod tests {
             encoded.iter().map(|b| (12 + b.len()) as u64).sum::<u64>()
         );
         assert!(bytes * 2 <= seed_rpl_list_bytes(&list), "rpl ratio");
-        let (_, ebytes) = erpl_list_size(&list);
+        let (_, ebytes) = list_size::<Erpl>(&list);
         assert!(ebytes * 2 <= seed_erpl_list_bytes(&list), "erpl ratio");
     }
 }

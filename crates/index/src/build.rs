@@ -390,12 +390,8 @@ impl<'s> IndexBuilder<'s> {
             // never-materialised store, and a read-only session never
             // checkpoints, so recovery would discard (and re-report) those
             // uncommitted creations on each reopen.
-            sink.store.open_or_create_table(crate::rpl::RPLS_TABLE)?;
-            sink.store
-                .open_or_create_table(crate::rpl::RPLS_REGISTRY_TABLE)?;
-            sink.store.open_or_create_table(crate::erpl::ERPLS_TABLE)?;
-            sink.store
-                .open_or_create_table(crate::erpl::ERPLS_REGISTRY_TABLE)?;
+            crate::RplTable::open(sink.store)?;
+            crate::ErplTable::open(sink.store)?;
 
             sink.store.flush()?;
         }

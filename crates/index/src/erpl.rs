@@ -1,5 +1,6 @@
-//! The `ERPLs` table: element-relevance posting lists in position order
-//! (paper §2.2), consumed by the Merge algorithm.
+//! The `ERPLs` table's read side: element-relevance posting lists in
+//! position order (paper §2.2), consumed by the Merge algorithm. Writes and
+//! the registry are the shared [`ListTable`] path.
 //!
 //! Each `(term, sid)` list is stored as block records (see [`crate::blocks`])
 //! keyed `(term, sid, block_no)`. The iterator decodes blocks lazily and
@@ -9,124 +10,18 @@
 use std::sync::Arc;
 
 use trex_obs::IndexCounters;
-use trex_storage::{Result, StorageError, Store, Table};
+use trex_storage::{Result, StorageError, Table};
 use trex_summary::Sid;
 use trex_text::TermId;
 
-use crate::blocks::{
-    block_key, decode_erpl_block, encode_erpl_list, normalize_erpl, peek_erpl_header, BlockLimits,
-};
-use crate::encode::{ElementRef, Position, RplEntry};
-use crate::registry::{ListRegistry, ListStats};
-
-/// Name of the data table inside the store.
-pub const ERPLS_TABLE: &str = "erpls";
-/// Name of the registry table inside the store.
-pub const ERPLS_REGISTRY_TABLE: &str = "erpls_registry";
+use crate::blocks::{block_key, decode_erpl_block, peek_erpl_header};
+use crate::encode::{Position, RplEntry};
+use crate::registry::{Erpl, ListTable};
 
 /// Write/read access to the `ERPLs` table.
-pub struct ErplTable {
-    table: Table,
-    registry: ListRegistry,
-    obs: Arc<IndexCounters>,
-    /// Test-only fault injection: error after this many block inserts.
-    fail_after: Option<u32>,
-}
+pub type ErplTable = ListTable<Erpl>;
 
-impl ErplTable {
-    /// Opens (creating on first use) the ERPL tables of `store`.
-    pub fn open(store: &Store) -> Result<ErplTable> {
-        Ok(ErplTable {
-            table: store.open_or_create_table(ERPLS_TABLE)?,
-            registry: ListRegistry::new(store.open_or_create_table(ERPLS_REGISTRY_TABLE)?),
-            obs: Arc::new(IndexCounters::new()),
-            fail_after: None,
-        })
-    }
-
-    /// Reports decode work into `obs` (shared by every table of an index)
-    /// instead of this table's private counter group.
-    pub fn with_counters(mut self, obs: Arc<IndexCounters>) -> ErplTable {
-        self.obs = obs;
-        self
-    }
-
-    /// Makes the `n`-th next block insert fail — exercises the write path's
-    /// failure atomicity in regression tests.
-    #[doc(hidden)]
-    pub fn fail_after_inserts(&mut self, n: u32) {
-        self.fail_after = Some(n);
-    }
-
-    /// Materialises the complete list of `(term, sid)` in position order.
-    /// Replaces an existing list for the same pair. Failure-atomic with the
-    /// same registry-first stamping + rollback protocol as
-    /// [`crate::rpl::RplTable::put_list`].
-    pub fn put_list(
-        &mut self,
-        term: TermId,
-        sid: Sid,
-        entries: &[(ElementRef, f32)],
-    ) -> Result<()> {
-        debug_assert!(entries
-            .iter()
-            .all(|&(_, score)| score.is_finite() && score >= 0.0));
-        if self.registry.contains(term, sid)? {
-            self.drop_list(term, sid)?;
-        }
-        let normalized = normalize_erpl(entries);
-        let encoded = encode_erpl_list(&normalized, BlockLimits::default());
-        let stats = ListStats {
-            entries: normalized.len() as u64,
-            bytes: encoded.iter().map(|b| (12 + b.len()) as u64).sum(),
-            blocks: encoded.len() as u64,
-        };
-        self.registry.put(term, sid, stats)?;
-        for (no, value) in encoded.iter().enumerate() {
-            if let Err(e) = self.insert_block(term, sid, no as u32, value) {
-                for undo in 0..=no as u32 {
-                    let _ = self.table.delete(&block_key(term, sid, undo));
-                }
-                let _ = self.registry.remove(term, sid);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn insert_block(&mut self, term: TermId, sid: Sid, no: u32, value: &[u8]) -> Result<()> {
-        if let Some(left) = self.fail_after.as_mut() {
-            if *left == 0 {
-                return Err(StorageError::Corrupt(
-                    "injected block insert failure".into(),
-                ));
-            }
-            *left -= 1;
-        }
-        self.table.insert(&block_key(term, sid, no), value)
-    }
-
-    /// Whether the list for `(term, sid)` is materialised.
-    pub fn has_list(&self, term: TermId, sid: Sid) -> Result<bool> {
-        self.registry.contains(term, sid)
-    }
-
-    /// Size bookkeeping for `(term, sid)`.
-    pub fn list_stats(&self, term: TermId, sid: Sid) -> Result<Option<ListStats>> {
-        self.registry.get(term, sid)
-    }
-
-    /// Drops the materialised list of `(term, sid)`: `blocks` point deletes.
-    pub fn drop_list(&mut self, term: TermId, sid: Sid) -> Result<Option<ListStats>> {
-        let Some(stats) = self.registry.remove(term, sid)? else {
-            return Ok(None);
-        };
-        for no in 0..stats.blocks {
-            self.table.delete(&block_key(term, sid, no as u32))?;
-        }
-        Ok(Some(stats))
-    }
-
+impl ListTable<Erpl> {
     /// Iterator over the list of `(term, sid)` in end-position order.
     pub fn iter_list(&self, term: TermId, sid: Sid) -> Result<ErplIter<'_>> {
         let blocks = self.registry.get(term, sid)?.map(|s| s.blocks).unwrap_or(0);
@@ -140,16 +35,6 @@ impl ErplTable {
             entries: Vec::new(),
             pos: 0,
         })
-    }
-
-    /// Total bytes across every materialised ERPL.
-    pub fn total_bytes(&self) -> Result<u64> {
-        self.registry.total_bytes()
-    }
-
-    /// Every materialised (term, sid) pair with its stats.
-    pub fn lists(&self) -> Result<Vec<(TermId, Sid, ListStats)>> {
-        self.registry.all()
     }
 }
 
@@ -232,21 +117,11 @@ impl ErplIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::ElementRef;
+    use crate::registry::tests::{self as family, el, with_table};
 
     fn with_erpls<R>(name: &str, f: impl FnOnce(&mut ErplTable) -> R) -> R {
-        let mut path = std::env::temp_dir();
-        path.push(format!("trex-erpl-{name}-{}", std::process::id()));
-        let store = Store::create(&path, 64).unwrap();
-        let mut t = ErplTable::open(&store).unwrap();
-        let r = f(&mut t);
-        drop(t);
-        drop(store);
-        std::fs::remove_file(&path).ok();
-        r
-    }
-
-    fn el(doc: u32, end: u32, length: u32) -> ElementRef {
-        ElementRef { doc, end, length }
+        with_table(name, f)
     }
 
     fn drain(it: &mut ErplIter<'_>) -> Vec<RplEntry> {
@@ -255,6 +130,31 @@ mod tests {
             out.push(e);
         }
         out
+    }
+
+    /// The entries of list `(term, sid)`, read through Merge's iterator.
+    fn read(t: &ErplTable, term: TermId, sid: Sid) -> Vec<RplEntry> {
+        drain(&mut t.iter_list(term, sid).unwrap())
+    }
+
+    #[test]
+    fn registry_tracks_materialisation() {
+        family::registry_tracks_materialisation(read);
+    }
+
+    #[test]
+    fn drop_list_removes_only_that_sid() {
+        family::drop_list_removes_only_that_sid(read);
+    }
+
+    #[test]
+    fn put_list_replaces_existing() {
+        family::put_list_replaces_existing(read);
+    }
+
+    #[test]
+    fn failed_put_list_leaves_no_orphans() {
+        family::failed_put_list_leaves_no_orphans(read);
     }
 
     #[test]
@@ -284,20 +184,6 @@ mod tests {
             let mut it = t.iter_list(1, 10).unwrap();
             assert_eq!(it.next_entry().unwrap().unwrap().score, 1.0);
             assert!(it.next_entry().unwrap().is_none());
-        });
-    }
-
-    #[test]
-    fn drop_list_frees_registry_and_entries() {
-        with_erpls("drop", |t| {
-            t.put_list(1, 10, &[(el(0, 5, 2), 1.0), (el(0, 9, 1), 2.0)])
-                .unwrap();
-            let stats = t.drop_list(1, 10).unwrap().unwrap();
-            assert_eq!(stats.entries, 2);
-            assert!(!t.has_list(1, 10).unwrap());
-            let mut it = t.iter_list(1, 10).unwrap();
-            assert!(it.next_entry().unwrap().is_none());
-            assert_eq!(t.total_bytes().unwrap(), 0);
         });
     }
 
@@ -353,25 +239,6 @@ mod tests {
                 seeked.seek(pos).unwrap();
                 assert_eq!(drain(&mut seeked), expected, "pos {pos:?}");
             }
-        });
-    }
-
-    #[test]
-    fn failed_put_list_leaves_no_orphans() {
-        with_erpls("atomic", |t| {
-            let entries: Vec<(ElementRef, f32)> = (0..500)
-                .map(|i| (el(0, i * 2 + 1, 2), (i % 7) as f32))
-                .collect();
-            t.fail_after_inserts(1);
-            assert!(t.put_list(1, 10, &entries).is_err());
-            t.fail_after = None;
-            assert!(!t.has_list(1, 10).unwrap());
-            assert_eq!(t.total_bytes().unwrap(), 0);
-            let mut it = t.iter_list(1, 10).unwrap();
-            assert!(it.next_entry().unwrap().is_none());
-            t.put_list(1, 10, &entries).unwrap();
-            let mut it = t.iter_list(1, 10).unwrap();
-            assert_eq!(drain(&mut it).len(), 500);
         });
     }
 }

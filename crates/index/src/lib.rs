@@ -10,6 +10,9 @@
 //! * [`erpl::ErplTable`] — `ERPLs(token, SID, docid, endpos, ir, …)` in
 //!   position order
 //!
+//! The two redundant tables are one [`ListTable`] over a [`ListFamily`]:
+//! one write path and registry, with only the iterators per family.
+//!
 //! [`build::IndexBuilder`] populates the first two plus the catalog from raw
 //! XML; the redundant RPL/ERPL lists are materialised later by the
 //! self-managing layer in `trex-core`.
@@ -43,7 +46,7 @@ pub use encode::{ElementRef, Position, RplEntry};
 pub use erpl::{ErplIter, ErplTable};
 pub use maintenance::Maintenance;
 pub use postings::{PositionIter, PostingsTable};
-pub use registry::ListStats;
+pub use registry::{Erpl, ListFamily, ListStats, ListTable, Rpl};
 pub use rpl::{RplIter, RplTable};
 
 /// Errors from index construction and access.

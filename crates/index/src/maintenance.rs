@@ -7,7 +7,7 @@
 //! safety with two rules:
 //!
 //! * every query evaluation holds a **read** guard for its whole lifetime
-//!   (translation-to-answers, including the `rpls_cover`/`erpls_cover`
+//!   (translation-to-answers, including the `ListTable::covers`
 //!   checks that decide the strategy), so a coverage check and the
 //!   evaluation it gates see one consistent generation of lists;
 //! * every list mutation (one `put_list` or `drop_list`) holds a **write**

@@ -1,5 +1,6 @@
-//! The `RPLs` table: relevance posting lists in descending score order
-//! (paper §2.2), with per-(term, sid) materialisation tracking.
+//! The `RPLs` table's read side: relevance posting lists in descending
+//! score order (paper §2.2). Writes and the registry are the shared
+//! [`ListTable`] path.
 //!
 //! Each list is stored as a handful of block records (see [`crate::blocks`])
 //! keyed `(term, sid, block_no)`. The term-wide iterator TA consumes is a
@@ -14,131 +15,18 @@ use std::sync::Arc;
 
 use trex_obs::IndexCounters;
 use trex_storage::codec::inverted_score_bits;
-use trex_storage::{Result, StorageError, Store, Table};
+use trex_storage::{Result, StorageError, Table};
 use trex_summary::Sid;
 use trex_text::TermId;
 
-use crate::blocks::{
-    block_key, decode_rpl_block, encode_rpl_list, normalize_rpl, peek_rpl_header, BlockLimits,
-};
-use crate::encode::{ElementRef, RplEntry};
-use crate::registry::{ListRegistry, ListStats};
-
-/// Name of the data table inside the store.
-pub const RPLS_TABLE: &str = "rpls";
-/// Name of the registry table inside the store.
-pub const RPLS_REGISTRY_TABLE: &str = "rpls_registry";
+use crate::blocks::{block_key, decode_rpl_block, peek_rpl_header};
+use crate::encode::RplEntry;
+use crate::registry::{ListTable, Rpl};
 
 /// Write/read access to the `RPLs` table.
-pub struct RplTable {
-    table: Table,
-    registry: ListRegistry,
-    obs: Arc<IndexCounters>,
-    /// Test-only fault injection: error after this many block inserts.
-    fail_after: Option<u32>,
-}
+pub type RplTable = ListTable<Rpl>;
 
-impl RplTable {
-    /// Opens (creating on first use) the RPL tables of `store`.
-    pub fn open(store: &Store) -> Result<RplTable> {
-        Ok(RplTable {
-            table: store.open_or_create_table(RPLS_TABLE)?,
-            registry: ListRegistry::new(store.open_or_create_table(RPLS_REGISTRY_TABLE)?),
-            obs: Arc::new(IndexCounters::new()),
-            fail_after: None,
-        })
-    }
-
-    /// Reports decode work into `obs` (shared by every table of an index)
-    /// instead of this table's private counter group.
-    pub fn with_counters(mut self, obs: Arc<IndexCounters>) -> RplTable {
-        self.obs = obs;
-        self
-    }
-
-    /// Makes the `n`-th next block insert fail — exercises the write path's
-    /// failure atomicity in regression tests.
-    #[doc(hidden)]
-    pub fn fail_after_inserts(&mut self, n: u32) {
-        self.fail_after = Some(n);
-    }
-
-    /// Materialises the complete relevance list of `(term, sid)`:
-    /// every element of the sid's extent containing the term, with its score.
-    /// Replaces an existing list for the same pair.
-    ///
-    /// The write is failure-atomic: the registry record is stamped *before*
-    /// the block inserts, so every block on disk is owned by a registry
-    /// record at all times (a crash mid-list is repaired by the next
-    /// `put_list`/`drop_list` for the pair); if an insert fails, the landed
-    /// blocks are rolled back best-effort and the stamp removed, leaving the
-    /// pair unmaterialised rather than half-written.
-    pub fn put_list(
-        &mut self,
-        term: TermId,
-        sid: Sid,
-        entries: &[(ElementRef, f32)],
-    ) -> Result<()> {
-        debug_assert!(entries
-            .iter()
-            .all(|&(_, score)| score.is_finite() && score >= 0.0));
-        if self.registry.contains(term, sid)? {
-            self.drop_list(term, sid)?;
-        }
-        let normalized = normalize_rpl(entries);
-        let encoded = encode_rpl_list(&normalized, BlockLimits::default());
-        let stats = ListStats {
-            entries: normalized.len() as u64,
-            bytes: encoded.iter().map(|b| (12 + b.len()) as u64).sum(),
-            blocks: encoded.len() as u64,
-        };
-        self.registry.put(term, sid, stats)?;
-        for (no, value) in encoded.iter().enumerate() {
-            if let Err(e) = self.insert_block(term, sid, no as u32, value) {
-                for undo in 0..=no as u32 {
-                    let _ = self.table.delete(&block_key(term, sid, undo));
-                }
-                let _ = self.registry.remove(term, sid);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn insert_block(&mut self, term: TermId, sid: Sid, no: u32, value: &[u8]) -> Result<()> {
-        if let Some(left) = self.fail_after.as_mut() {
-            if *left == 0 {
-                return Err(StorageError::Corrupt(
-                    "injected block insert failure".into(),
-                ));
-            }
-            *left -= 1;
-        }
-        self.table.insert(&block_key(term, sid, no), value)
-    }
-
-    /// Whether the list for `(term, sid)` is materialised.
-    pub fn has_list(&self, term: TermId, sid: Sid) -> Result<bool> {
-        self.registry.contains(term, sid)
-    }
-
-    /// Size bookkeeping for `(term, sid)`.
-    pub fn list_stats(&self, term: TermId, sid: Sid) -> Result<Option<ListStats>> {
-        self.registry.get(term, sid)
-    }
-
-    /// Drops the materialised list of `(term, sid)`: `blocks` point deletes
-    /// against the dense block keys — no term-wide scan.
-    pub fn drop_list(&mut self, term: TermId, sid: Sid) -> Result<Option<ListStats>> {
-        let Some(stats) = self.registry.remove(term, sid)? else {
-            return Ok(None);
-        };
-        for no in 0..stats.blocks {
-            self.table.delete(&block_key(term, sid, no as u32))?;
-        }
-        Ok(Some(stats))
-    }
-
+impl ListTable<Rpl> {
     /// Iterator over all RPL entries of `term` in descending score order —
     /// TA's sorted access. Entries of sids outside the query are yielded too;
     /// TA skips them (paper §3.3).
@@ -166,16 +54,6 @@ impl RplTable {
             it.push_head(idx)?;
         }
         Ok(it)
-    }
-
-    /// Total bytes across every materialised RPL — used-space accounting.
-    pub fn total_bytes(&self) -> Result<u64> {
-        self.registry.total_bytes()
-    }
-
-    /// Every materialised (term, sid) pair with its stats.
-    pub fn lists(&self) -> Result<Vec<(TermId, Sid, ListStats)>> {
-        self.registry.all()
     }
 }
 
@@ -314,21 +192,11 @@ impl RplIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::ElementRef;
+    use crate::registry::tests::{self as family, el, with_table};
 
     fn with_rpls<R>(name: &str, f: impl FnOnce(&mut RplTable) -> R) -> R {
-        let mut path = std::env::temp_dir();
-        path.push(format!("trex-rpl-{name}-{}", std::process::id()));
-        let store = Store::create(&path, 64).unwrap();
-        let mut t = RplTable::open(&store).unwrap();
-        let r = f(&mut t);
-        drop(t);
-        drop(store);
-        std::fs::remove_file(&path).ok();
-        r
-    }
-
-    fn el(doc: u32, end: u32, length: u32) -> ElementRef {
-        ElementRef { doc, end, length }
+        with_table(name, f)
     }
 
     fn drain(it: &mut RplIter<'_>) -> Vec<RplEntry> {
@@ -337,6 +205,35 @@ mod tests {
             out.push(e);
         }
         out
+    }
+
+    /// The entries of list `(term, sid)`, read through TA's term-wide scan.
+    fn read(t: &RplTable, term: TermId, sid: Sid) -> Vec<RplEntry> {
+        let mut it = t.iter_term(term).unwrap();
+        drain(&mut it)
+            .into_iter()
+            .filter(|e| e.sid == sid)
+            .collect()
+    }
+
+    #[test]
+    fn registry_tracks_materialisation() {
+        family::registry_tracks_materialisation(read);
+    }
+
+    #[test]
+    fn drop_list_removes_only_that_sid() {
+        family::drop_list_removes_only_that_sid(read);
+    }
+
+    #[test]
+    fn put_list_replaces_existing() {
+        family::put_list_replaces_existing(read);
+    }
+
+    #[test]
+    fn failed_put_list_leaves_no_orphans() {
+        family::failed_put_list_leaves_no_orphans(read);
     }
 
     #[test]
@@ -363,49 +260,6 @@ mod tests {
             let mut it = t.iter_term(1).unwrap();
             let got: Vec<(Sid, f32)> = drain(&mut it).iter().map(|e| (e.sid, e.score)).collect();
             assert_eq!(got, vec![(10, 3.0), (20, 2.0), (10, 1.0)]);
-        });
-    }
-
-    #[test]
-    fn registry_tracks_materialisation() {
-        with_rpls("registry", |t| {
-            assert!(!t.has_list(1, 10).unwrap());
-            t.put_list(1, 10, &[(el(0, 5, 2), 1.0)]).unwrap();
-            assert!(t.has_list(1, 10).unwrap());
-            let stats = t.list_stats(1, 10).unwrap().unwrap();
-            assert_eq!(stats.entries, 1);
-            assert_eq!(stats.blocks, 1);
-            assert!(stats.bytes > 0);
-            assert_eq!(t.total_bytes().unwrap(), stats.bytes);
-        });
-    }
-
-    #[test]
-    fn drop_list_removes_only_that_sid() {
-        with_rpls("drop", |t| {
-            t.put_list(1, 10, &[(el(0, 5, 2), 3.0)]).unwrap();
-            t.put_list(1, 20, &[(el(1, 5, 2), 2.0)]).unwrap();
-            t.drop_list(1, 10).unwrap().unwrap();
-            assert!(!t.has_list(1, 10).unwrap());
-            assert!(t.has_list(1, 20).unwrap());
-            let mut it = t.iter_term(1).unwrap();
-            let e = it.next_entry().unwrap().unwrap();
-            assert_eq!(e.sid, 20);
-            assert!(it.next_entry().unwrap().is_none());
-        });
-    }
-
-    #[test]
-    fn put_list_replaces_existing() {
-        with_rpls("replace", |t| {
-            t.put_list(1, 10, &[(el(0, 5, 2), 3.0), (el(0, 9, 1), 1.0)])
-                .unwrap();
-            t.put_list(1, 10, &[(el(0, 5, 2), 4.0)]).unwrap();
-            let mut it = t.iter_term(1).unwrap();
-            let e = it.next_entry().unwrap().unwrap();
-            assert_eq!(e.score, 4.0);
-            assert!(it.next_entry().unwrap().is_none());
-            assert_eq!(t.list_stats(1, 10).unwrap().unwrap().entries, 1);
         });
     }
 
@@ -460,27 +314,6 @@ mod tests {
                 let got = drain(&mut seeked);
                 assert_eq!(got, expected, "bound {bound}");
             }
-        });
-    }
-
-    #[test]
-    fn failed_put_list_leaves_no_orphans() {
-        with_rpls("atomic", |t| {
-            let entries: Vec<(ElementRef, f32)> =
-                (0..600).map(|i| (el(0, i * 2 + 1, 2), i as f32)).collect();
-            t.fail_after_inserts(2);
-            let err = t.put_list(1, 10, &entries);
-            assert!(err.is_err());
-            t.fail_after = None;
-            // No registry record, no readable entries, no counted bytes.
-            assert!(!t.has_list(1, 10).unwrap());
-            assert_eq!(t.total_bytes().unwrap(), 0);
-            let mut it = t.iter_term(1).unwrap();
-            assert!(it.next_entry().unwrap().is_none());
-            // And the pair is writable again afterwards.
-            t.put_list(1, 10, &entries).unwrap();
-            let mut it = t.iter_term(1).unwrap();
-            assert_eq!(drain(&mut it).len(), 600);
         });
     }
 }

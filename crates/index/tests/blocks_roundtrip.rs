@@ -214,7 +214,7 @@ proptest! {
         with_store(|store| {
             let mut t = RplTable::open(store).unwrap();
             t.fail_after_inserts(fail_after);
-            let blocks = trex_index::blocks::rpl_list_size(&list).0 as u32;
+            let blocks = trex_index::blocks::list_size::<trex_index::Rpl>(&list).0 as u32;
             let result = t.put_list(TERM, SID, &list);
             if fail_after >= blocks {
                 // Enough budget: the write succeeds and the injection arms

@@ -66,8 +66,7 @@ usage:
   trex advisor <store.db> [--last N]
   trex serve <store.db> [-k N] [--partitions N] [--self-manage --budget <bytes> [--interval-ms N]]
                         [--listen HOST:PORT] [--workers N] [--queue-depth N]
-                        [--deadline-ms N] [--no-cache] [--fold-docs N]
-                        [--metrics-addr HOST:PORT] [--slow-ms N]
+                        [--deadline-ms N] [--no-cache] [--fold-docs N] [--slow-ms N]
   trex stats <store.db> [--prometheus]
 
 serve reads one NEXI query per line on stdin; with --listen it also answers
@@ -82,8 +81,7 @@ The HTTP surface also serves /v1/metrics (Prometheus 0.0.4),
 and /v1/advisor/last (the self-manager's decision journal), and
 /v1/trace/<id> (the span tree of a request that carried a traceparent
 header — every POST /v1/query honours inbound W3C traceparent and echoes
-one back), all with unversioned aliases; --metrics-addr exposes the same
-routes on a separate scrape-only endpoint. --slow-ms sets the slow-query
+one back), all with unversioned aliases. --slow-ms sets the slow-query
 capture threshold (default 100 ms). The REPL also accepts the commands
 `stats` (metrics JSON), `slow` (slow-query log JSON), `advisor` (decision
 journal JSON), `ingest <file.xml>` (index one document live — it is
@@ -505,8 +503,8 @@ fn stats(args: &[String]) -> Result<(), String> {
 
 /// A NEXI-per-line REPL over stdin, optionally with the online self-manager
 /// reconciling the redundant indexes in the background while queries run,
-/// optionally with the query-serving HTTP front end (`--listen`), and
-/// optionally with a scrape-only metrics endpoint (`--metrics-addr`).
+/// and optionally with the HTTP front end (`--listen`), which serves
+/// queries, ingestion and the metrics routes.
 fn serve(args: &[String]) -> Result<(), String> {
     let system = open(args)?;
     if let Some(n) = flag(args, "--partitions") {
@@ -538,16 +536,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                 .set_threshold(Some(std::time::Duration::from_millis(ms)));
         }
     }
-
-    let metrics = match flag(args, "--metrics-addr") {
-        Some(addr) => {
-            let server = trex::MetricsServer::start(addr, system.metrics())
-                .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
-            eprintln!("metrics: listening on {}", server.addr());
-            Some(server)
-        }
-        None => None,
-    };
 
     let mut http_config = HttpServerConfig::default();
     if let Some(n) = flag(args, "--workers") {
@@ -753,8 +741,5 @@ fn serve(args: &[String]) -> Result<(), String> {
     // Unfolded delta documents are WAL-durable; stopping without a final
     // fold just means the next open replays them into a fresh delta.
     folder.stop();
-    if let Some(metrics) = metrics {
-        metrics.stop();
-    }
     Ok(())
 }

@@ -1,10 +1,8 @@
 //! The HTTP front end: query serving plus metrics, hand-rolled HTTP/1.1.
 //!
-//! Two servers live here. [`MetricsServer`] is the original single-thread
-//! scrape endpoint (kept for tooling that only wants metrics).
-//! [`HttpServer`] is the query-serving front end: a versioned surface
-//! (`/v1/*`, with unversioned aliases) answering queries through the same
-//! [`QueryService`] the REPL uses.
+//! [`HttpServer`] serves a versioned surface (`/v1/*`, with unversioned
+//! aliases): queries and ingestion through the same [`QueryService`] the
+//! REPL uses, and the metrics, health, advisor and trace routes.
 //!
 //! | route | method | body |
 //! |---|---|---|
@@ -67,111 +65,8 @@ use trex_core::{parse_query_request, QueryService, TrexError};
 
 use crate::TrexSystem;
 
-/// The background metrics endpoint. Dropping (or [`stop`]ping) the handle
-/// shuts the listener thread down.
-///
-/// [`stop`]: MetricsServer::stop
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9184`, or port `0` for an ephemeral
-    /// port — see [`addr`]) and starts answering scrapes on a new thread.
-    ///
-    /// [`addr`]: MetricsServer::addr
-    pub fn start(addr: &str, registry: MetricsRegistry) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("trex-metrics".into())
-                .spawn(move || serve_loop(listener, registry, stop))?
-        };
-        Ok(MetricsServer {
-            addr,
-            stop,
-            thread: Some(thread),
-        })
-    }
-
-    /// The bound address (the actual port when `:0` was requested).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the listener thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with one last connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.shutdown();
-        }
-    }
-}
-
-fn serve_loop(listener: TcpListener, registry: MetricsRegistry, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        // A scrape is one short request; a stuck client must not wedge
-        // the endpoint forever.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let _ = handle_scrape(stream, &registry);
-    }
-}
-
-fn handle_scrape(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    // Scrapes carry no body: a POST with one answers 413.
-    let outcome = read_request(&mut reader, 0)?;
-    let mut stream = reader.into_inner();
-    let (method, path) = match outcome {
-        Ok((method, path, _, _)) => (method, path),
-        Err((status, body)) => return respond(&mut stream, status, "application/json", &body),
-    };
-
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain",
-            "GET only\n",
-        );
-    }
-    match metrics_route(unversioned(&path), registry) {
-        Some((status, content_type, body)) => respond(&mut stream, status, content_type, &body),
-        None => respond(
-            &mut stream,
-            "404 Not Found",
-            "text/plain",
-            "try /metrics, /metrics.json, /slow, /healthz, /readyz, /advisor/history or /trace/<id>\n",
-        ),
-    }
-}
-
-/// The GET surface shared by both servers: `(status, content-type, body)`,
-/// or `None` for paths neither serves.
+/// The GET surface: `(status, content-type, body)`, or `None` for paths it
+/// does not serve.
 fn metrics_route(
     path: &str,
     registry: &MetricsRegistry,
@@ -776,90 +671,6 @@ fn respond_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::sync::Arc;
-    use trex_core::obs::{
-        IndexCounters, SelfManageCounters, StorageCounters, StorageTimers, Telemetry,
-    };
-
-    fn registry() -> MetricsRegistry {
-        MetricsRegistry::new(
-            Arc::new(StorageCounters::new()),
-            Arc::new(IndexCounters::new()),
-            Arc::new(SelfManageCounters::new()),
-            Arc::new(StorageTimers::new()),
-            Arc::new(Telemetry::new()),
-            Arc::new(ServeMetrics::new()),
-        )
-    }
-
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        (head.to_string(), body.to_string())
-    }
-
-    #[test]
-    fn serves_all_routes_and_404() {
-        let server = MetricsServer::start("127.0.0.1:0", registry()).unwrap();
-        let addr = server.addr();
-
-        let (head, body) = get(addr, "/healthz");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert_eq!(body, "ok\n");
-
-        let (head, body) = get(addr, "/metrics");
-        assert!(head.contains("text/plain; version=0.0.4"));
-        assert!(body.contains("# TYPE trex_storage_page_reads_total counter"));
-
-        let (head, body) = get(addr, "/metrics.json");
-        assert!(head.contains("application/json"));
-        assert!(body.starts_with("{\"counters\":"));
-
-        let (_, body) = get(addr, "/slow");
-        assert!(body.contains("\"threshold_ns\""));
-
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"));
-
-        server.stop();
-    }
-
-    #[test]
-    fn metrics_server_accepts_versioned_aliases() {
-        let server = MetricsServer::start("127.0.0.1:0", registry()).unwrap();
-        let addr = server.addr();
-        let (head, body) = get(addr, "/v1/healthz");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert_eq!(body, "ok\n");
-        let (head, _) = get(addr, "/v1/metrics");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        server.stop();
-    }
-
-    #[test]
-    fn stop_terminates_the_thread() {
-        let server = MetricsServer::start("127.0.0.1:0", registry()).unwrap();
-        let addr = server.addr();
-        server.stop();
-        // After stop, new connections are either refused or never answered.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(
-            TcpStream::connect(addr).is_err()
-                || TcpStream::connect(addr)
-                    .and_then(|mut s| {
-                        s.set_read_timeout(Some(Duration::from_millis(200)))?;
-                        write!(s, "GET /healthz HTTP/1.1\r\n\r\n")?;
-                        let mut buf = [0u8; 1];
-                        let n = s.read(&mut buf)?;
-                        Ok(n == 0)
-                    })
-                    .unwrap_or(true)
-        );
-    }
 
     #[test]
     fn retry_after_tracks_observed_service_time() {

@@ -51,7 +51,7 @@ pub use trex_text as text;
 pub use trex_xml as xml;
 
 // The most-used items, re-exported flat.
-pub use http::{HttpServer, HttpServerConfig, MetricsServer};
+pub use http::{HttpServer, HttpServerConfig};
 pub use trex_core::obs::{
     self, AdvisorJournal, Health, MetricsRegistry, PartitionMetrics, QueryTrace, ServeMetrics,
     ToJson, TraceContext,
@@ -395,7 +395,7 @@ impl TrexSystem {
     /// counters, the storage timer group, and the index's query-path
     /// telemetry — assembled behind the registry's `render_prometheus()` /
     /// `render_json()` calls. Cheap to call (clones `Arc`s); the returned
-    /// registry stays live, so a [`MetricsServer`] can own one.
+    /// registry stays live, so an [`HttpServer`] can own one.
     ///
     /// The primary (unlabelled) groups are partition 0's plus the shared
     /// serve layer; with N > 1 every partition's counters are additionally

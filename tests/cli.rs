@@ -137,7 +137,7 @@ fn cli_help_lists_commands() {
         "advise",
         "serve",
         "stats",
-        "--metrics-addr",
+        "--listen",
         "--slow-ms",
     ] {
         assert!(out.contains(cmd), "help missing {cmd}");

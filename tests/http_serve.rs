@@ -3,7 +3,8 @@
 //! evaluation), the generation-keyed result cache (hit on repeat, miss
 //! after a reconcile bumps the generation), bounded-queue admission
 //! control (`429` at saturation, counter-asserted), cooperative deadlines
-//! (`408`), and request-framing robustness (`400`/`405`/`404`/`411`/`413`).
+//! (`408`), request-framing robustness (`400`/`405`/`404`/`411`/`413`), and
+//! shutdown (a stopped server answers nothing).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -425,6 +426,15 @@ fn malformed_requests_get_structured_errors() {
         "serve counters exported"
     );
 
+    // After stop, new connections are either refused or never answered.
     server.stop();
+    std::thread::sleep(Duration::from_millis(20));
+    let answered = TcpStream::connect(addr).and_then(|mut s| {
+        s.set_read_timeout(Some(Duration::from_millis(200)))?;
+        write!(s, "GET /v1/healthz HTTP/1.1\r\n\r\n")?;
+        let mut buf = [0u8; 1];
+        Ok(s.read(&mut buf)? > 0)
+    });
+    assert!(!answered.unwrap_or(false), "a stopped server still answers");
     cleanup(&path);
 }

@@ -1,5 +1,5 @@
 //! `curl`-equivalent integration test of the live metrics surface:
-//! `trex serve --metrics-addr` must answer `/metrics` with valid Prometheus
+//! `trex serve --listen` must answer `/metrics` with valid Prometheus
 //! text exposition (cumulative, `+Inf`-terminated histogram buckets),
 //! `/metrics.json` with well-formed JSON, and `/slow` with the span tree of
 //! a deliberately slow query (threshold 0) whose spans nest.
@@ -300,7 +300,7 @@ fn serve_metrics_endpoint_end_to_end() {
             &store,
             "-k",
             "3",
-            "--metrics-addr",
+            "--listen",
             "127.0.0.1:0",
             "--slow-ms",
             "0", // every query is "slow": deterministic /slow content
@@ -318,10 +318,10 @@ fn serve_metrics_endpoint_end_to_end() {
         line.clear();
         assert!(
             stderr.read_line(&mut line).expect("read stderr") > 0,
-            "serve exited before announcing the metrics endpoint"
+            "serve exited before announcing the http endpoint"
         );
-        if let Some(addr) = line.trim().strip_prefix("metrics: listening on ") {
-            break addr.to_string();
+        if let Some(rest) = line.strip_prefix("http: serving on ") {
+            break rest.split_whitespace().next().unwrap().to_string();
         }
     };
 
