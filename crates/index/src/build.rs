@@ -26,9 +26,9 @@
 use std::collections::HashMap;
 
 use trex_storage::Store;
-use trex_summary::{AliasMap, Summary, SummaryCursor, SummaryKind};
+use trex_summary::{AliasMap, Sid, Summary, SummaryCursor, SummaryKind};
 use trex_text::{Analyzer, CollectionStats, Dictionary, TermId};
-use trex_xml::{Document, NodeId, NodeKind};
+use trex_xml::{Document, NodeId};
 
 use crate::catalog::{
     blob_names, encode_alias, encode_analyzer, encode_stats, put_term_stats, store_blob, TermStats,
@@ -38,6 +38,7 @@ use crate::docstore::DocStoreWriter;
 use crate::elements::{ElementsTable, ELEMENTS_TABLE};
 use crate::encode::{ElementRef, Position};
 use crate::postings::POSTINGS_TABLE;
+use crate::walk::{walk, Visitor};
 use crate::{IndexError, Result};
 
 /// The per-store half of a build: the tables that hold routed (per-document)
@@ -61,6 +62,44 @@ impl<'s> StoreSink<'s> {
             postings: HashMap::new(),
             doc_store: None,
         })
+    }
+}
+
+/// The build's side of the document walk: grows the summary, interns
+/// terms and counts df/cf in the global catalog, and inserts the document's
+/// rows into the one sink it routes to.
+struct BuildRows<'b, 's> {
+    summary: &'b mut Summary,
+    dictionary: &'b mut Dictionary,
+    term_stats: &'b mut HashMap<TermId, (u32, u32, u64)>,
+    element_count: &'b mut u64,
+    total_element_len: &'b mut u64,
+    sink: &'b mut StoreSink<'s>,
+}
+
+impl Visitor for BuildRows<'_, '_> {
+    fn enter(&mut self, cursor: &mut SummaryCursor, label: &str) -> Result<Sid> {
+        let sid = cursor.enter(self.summary, label);
+        self.summary.record_element(sid);
+        Ok(sid)
+    }
+
+    fn token(&mut self, text: String, at: Position) {
+        let term = self.dictionary.intern(&text);
+        self.sink.postings.entry(term).or_default().push(at);
+        let entry = self.term_stats.entry(term).or_insert((u32::MAX, 0, 0));
+        if entry.0 != at.doc {
+            entry.0 = at.doc;
+            entry.1 += 1;
+        }
+        entry.2 += 1;
+    }
+
+    fn element(&mut self, _node: NodeId, sid: Sid, element: ElementRef) -> Result<()> {
+        self.sink.elements.insert(sid, element)?;
+        *self.element_count += 1;
+        *self.total_element_len += u64::from(element.length);
+        Ok(())
     }
 }
 
@@ -162,155 +201,28 @@ impl<'s> IndexBuilder<'s> {
         Ok(())
     }
 
-    /// The sink index the next document routes to.
-    fn route_next(&self) -> usize {
-        crate::partition_of(self.doc_count, self.sinks.len())
-    }
-
-    /// Parses and indexes one document; returns its assigned id.
+    /// Parses and indexes one document; returns its assigned id. With the
+    /// document store on, `xml` is stored byte for byte.
     pub fn add_document(&mut self, xml: &str) -> Result<u32> {
         let doc = Document::parse(xml).map_err(IndexError::Xml)?;
-        let p = self.route_next();
-        if let Some(ds) = &mut self.sinks[p].doc_store {
-            ds.put(self.doc_count, xml)?;
-        }
-        self.add_parsed_internal(&doc, p)
-    }
-
-    /// Indexes an already-parsed document; returns its assigned id.
-    pub fn add_parsed(&mut self, doc: &Document) -> Result<u32> {
-        let p = self.route_next();
-        if let Some(ds) = &mut self.sinks[p].doc_store {
-            ds.put(self.doc_count, &doc.to_xml())?;
-        }
-        self.add_parsed_internal(doc, p)
-    }
-
-    /// Indexes one document through the streaming pull parser, without
-    /// building a DOM — the memory-friendly path for very large documents.
-    /// Produces identical index state to [`IndexBuilder::add_document`].
-    pub fn add_document_streaming(&mut self, xml: &str) -> Result<u32> {
-        let p = self.route_next();
-        if let Some(ds) = &mut self.sinks[p].doc_store {
-            ds.put(self.doc_count, xml)?;
-        }
         let doc_id = self.doc_count;
-        self.doc_count += 1;
-
-        let mut reader = trex_xml::Reader::new(xml);
-        let mut cursor = SummaryCursor::new();
-        let mut next_pos = 0u32;
-        // Per open element: (sid, first position mark).
-        let mut open: Vec<(trex_summary::Sid, u32)> = Vec::new();
-
-        while let Some(event) = reader.next_event().map_err(IndexError::Xml)? {
-            match event {
-                trex_xml::Event::StartElement { name, .. } => {
-                    let label = self.alias.resolve(&name).to_string();
-                    let sid = cursor.enter(&mut self.summary, &label);
-                    self.summary.record_element(sid);
-                    open.push((sid, next_pos));
-                }
-                trex_xml::Event::EndElement { .. } => {
-                    let (sid, mark) = open.pop().expect("reader guarantees balance");
-                    cursor.leave();
-                    let length = next_pos - mark;
-                    if length > 0 {
-                        self.sinks[p].elements.insert(
-                            sid,
-                            ElementRef {
-                                doc: doc_id,
-                                end: next_pos - 1,
-                                length,
-                            },
-                        )?;
-                        self.element_count += 1;
-                        self.total_element_len += length as u64;
-                    }
-                }
-                trex_xml::Event::Text(text) => {
-                    self.index_text(&text, doc_id, p, &mut next_pos);
-                }
-                trex_xml::Event::Comment(_) | trex_xml::Event::ProcessingInstruction(_) => {}
-            }
+        let p = crate::partition_of(doc_id, self.sinks.len());
+        let sink = &mut self.sinks[p];
+        if let Some(ds) = &mut sink.doc_store {
+            ds.put(doc_id, xml)?;
         }
+        self.doc_count += 1;
+        let mut rows = BuildRows {
+            summary: &mut self.summary,
+            dictionary: &mut self.dictionary,
+            term_stats: &mut self.term_stats,
+            element_count: &mut self.element_count,
+            total_element_len: &mut self.total_element_len,
+            sink,
+        };
+        walk(&doc, doc_id, &self.alias, self.analyzer, &mut rows)?;
         self.maybe_checkpoint()?;
         Ok(doc_id)
-    }
-
-    /// Analyses one text run, interning terms (globally) and recording
-    /// postings into sink `p`.
-    fn index_text(&mut self, text: &str, doc_id: u32, p: usize, next_pos: &mut u32) {
-        let (terms, np) = self.analyzer.analyze_from(text, *next_pos);
-        *next_pos = np;
-        for token in terms {
-            let term = self.dictionary.intern(&token.text);
-            self.sinks[p]
-                .postings
-                .entry(term)
-                .or_default()
-                .push(Position {
-                    doc: doc_id,
-                    offset: token.position,
-                });
-            let entry = self.term_stats.entry(term).or_insert((u32::MAX, 0, 0));
-            if entry.0 != doc_id {
-                entry.0 = doc_id;
-                entry.1 += 1;
-            }
-            entry.2 += 1;
-        }
-    }
-
-    fn add_parsed_internal(&mut self, doc: &Document, p: usize) -> Result<u32> {
-        let doc_id = self.doc_count;
-        self.doc_count += 1;
-        let mut cursor = SummaryCursor::new();
-        let mut next_pos = 0u32;
-        self.walk(doc, doc.root(), &mut cursor, doc_id, p, &mut next_pos)?;
-        self.maybe_checkpoint()?;
-        Ok(doc_id)
-    }
-
-    fn walk(
-        &mut self,
-        doc: &Document,
-        node: NodeId,
-        cursor: &mut SummaryCursor,
-        doc_id: u32,
-        p: usize,
-        next_pos: &mut u32,
-    ) -> Result<()> {
-        match &doc.node(node).kind {
-            NodeKind::Text(text) => {
-                let text = text.clone(); // appease the borrow of self
-                self.index_text(&text, doc_id, p, next_pos);
-            }
-            NodeKind::Element { name, .. } => {
-                let label = self.alias.resolve(name).to_string();
-                let sid = cursor.enter(&mut self.summary, &label);
-                self.summary.record_element(sid);
-                let mark = *next_pos;
-                for &child in &doc.node(node).children {
-                    self.walk(doc, child, cursor, doc_id, p, next_pos)?;
-                }
-                cursor.leave();
-                let length = *next_pos - mark;
-                if length > 0 {
-                    self.sinks[p].elements.insert(
-                        sid,
-                        ElementRef {
-                            doc: doc_id,
-                            end: *next_pos - 1,
-                            length,
-                        },
-                    )?;
-                    self.element_count += 1;
-                    self.total_element_len += length as u64;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Collection statistics accumulated so far.
@@ -344,15 +256,7 @@ impl<'s> IndexBuilder<'s> {
         let chunk_size = self.postings_chunk_size;
 
         // Global catalog state, encoded once and written to every store.
-        let stats = CollectionStats {
-            doc_count: self.doc_count,
-            element_count: self.element_count,
-            avg_element_len: if self.element_count == 0 {
-                0.0
-            } else {
-                self.total_element_len as f32 / self.element_count as f32
-            },
-        };
+        let stats = self.stats();
         let dictionary_bytes = self.dictionary.encode();
         let summary_bytes = self.summary.encode();
         let alias_bytes = encode_alias(&self.alias);

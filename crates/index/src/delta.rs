@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use trex_summary::{AliasMap, Sid, Summary, SummaryCursor};
 use trex_text::{Analyzer, Dictionary, TermId};
-use trex_xml::{Document, NodeId, NodeKind};
+use trex_xml::{Document, NodeId};
 
 use crate::encode::{ElementRef, Position};
+use crate::walk::{enter_existing, walk, Visitor};
 use crate::{IndexError, Result};
 
 /// One staged document: everything the fold needs to merge it into the
@@ -236,14 +237,12 @@ impl DeltaIndex {
     }
 }
 
-/// Stages one document against the frozen catalog: parses, walks the
-/// element tree with [`SummaryCursor::enter_existing`] (the summary is
-/// *not* mutated — a path the summary does not know is a typed error), and
-/// splits postings into base-dictionary terms and new terms.
-///
-/// Produces exactly the element spans and positions `IndexBuilder::walk`
-/// would have produced for the same document, so a fold followed by a
-/// rebuild-from-scratch agree.
+/// Stages one document against the frozen catalog: parses it and walks it
+/// with [`SummaryCursor::enter_existing`] (the summary is *not* mutated — a
+/// path the summary does not know is a typed error), splitting postings
+/// into base-dictionary terms and new terms. The walk is the build's, so a
+/// fold writes the element spans and positions a rebuild from scratch
+/// would.
 pub fn stage_document(
     doc_id: u32,
     xml: &str,
@@ -253,86 +252,44 @@ pub fn stage_document(
     analyzer: Analyzer,
 ) -> Result<DeltaDoc> {
     let doc = Document::parse(xml).map_err(IndexError::Xml)?;
-    let mut staged = DeltaDoc {
-        doc_id,
-        xml: xml.to_string(),
-        elements: Vec::new(),
-        postings: HashMap::new(),
-        new_terms: HashMap::new(),
-    };
-    let mut cursor = SummaryCursor::new();
-    let mut next_pos = 0u32;
-    walk(
-        &doc,
-        doc.root(),
-        &mut cursor,
-        &mut next_pos,
-        &mut staged,
+    let mut rows = StageRows {
         summary,
-        alias,
         dictionary,
-        analyzer,
-    )?;
-    Ok(staged)
+        staged: DeltaDoc {
+            doc_id,
+            xml: xml.to_string(),
+            elements: Vec::new(),
+            postings: HashMap::new(),
+            new_terms: HashMap::new(),
+        },
+    };
+    walk(&doc, doc_id, alias, analyzer, &mut rows)?;
+    Ok(rows.staged)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    doc: &Document,
-    node: NodeId,
-    cursor: &mut SummaryCursor,
-    next_pos: &mut u32,
-    staged: &mut DeltaDoc,
-    summary: &Summary,
-    alias: &AliasMap,
-    dictionary: &Dictionary,
-    analyzer: Analyzer,
-) -> Result<()> {
-    match &doc.node(node).kind {
-        NodeKind::Text(text) => {
-            let (tokens, np) = analyzer.analyze_from(text, *next_pos);
-            *next_pos = np;
-            for token in tokens {
-                let position = Position {
-                    doc: staged.doc_id,
-                    offset: token.position,
-                };
-                match dictionary.lookup(&token.text) {
-                    Some(term) => staged.postings.entry(term).or_default().push(position),
-                    None => staged
-                        .new_terms
-                        .entry(token.text)
-                        .or_default()
-                        .push(position),
-                }
-            }
-        }
-        NodeKind::Element { name, .. } => {
-            let label = alias.resolve(name).to_string();
-            let Some(sid) = cursor.enter_existing(summary, &label) else {
-                return Err(IndexError::UnknownPath(label));
-            };
-            let mark = *next_pos;
-            for &child in &doc.node(node).children {
-                walk(
-                    doc, child, cursor, next_pos, staged, summary, alias, dictionary, analyzer,
-                )?;
-            }
-            cursor.leave();
-            let length = *next_pos - mark;
-            if length > 0 {
-                staged.elements.push((
-                    sid,
-                    ElementRef {
-                        doc: staged.doc_id,
-                        end: *next_pos - 1,
-                        length,
-                    },
-                ));
-            }
+/// The staging side of the document walk.
+struct StageRows<'c> {
+    summary: &'c Summary,
+    dictionary: &'c Dictionary,
+    staged: DeltaDoc,
+}
+
+impl Visitor for StageRows<'_> {
+    fn enter(&mut self, cursor: &mut SummaryCursor, label: &str) -> Result<Sid> {
+        enter_existing(cursor, self.summary, label)
+    }
+
+    fn token(&mut self, text: String, at: Position) {
+        match self.dictionary.lookup(&text) {
+            Some(term) => self.staged.postings.entry(term).or_default().push(at),
+            None => self.staged.new_terms.entry(text).or_default().push(at),
         }
     }
-    Ok(())
+
+    fn element(&mut self, _node: NodeId, sid: Sid, element: ElementRef) -> Result<()> {
+        self.staged.elements.push((sid, element));
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -340,58 +297,39 @@ mod tests {
     use super::*;
     use trex_summary::SummaryKind;
 
+    /// The build's sid step and interning, without a store.
+    struct Seed {
+        summary: Summary,
+        dictionary: Dictionary,
+    }
+
+    impl Visitor for Seed {
+        fn enter(&mut self, cursor: &mut SummaryCursor, label: &str) -> Result<Sid> {
+            let sid = cursor.enter(&mut self.summary, label);
+            self.summary.record_element(sid);
+            Ok(sid)
+        }
+
+        fn token(&mut self, text: String, _at: Position) {
+            self.dictionary.intern(&text);
+        }
+
+        fn element(&mut self, _node: NodeId, _sid: Sid, _element: ElementRef) -> Result<()> {
+            Ok(())
+        }
+    }
+
     /// Builds a frozen catalog over one seed document.
     fn frozen_catalog(seed: &str) -> (Summary, AliasMap, Dictionary, Analyzer) {
         let alias = AliasMap::identity();
         let analyzer = Analyzer::default();
-        let mut summary = Summary::new(SummaryKind::Incoming);
-        let mut dictionary = Dictionary::new();
+        let mut rows = Seed {
+            summary: Summary::new(SummaryKind::Incoming),
+            dictionary: Dictionary::new(),
+        };
         let doc = Document::parse(seed).unwrap();
-        let mut cursor = SummaryCursor::new();
-        let mut next = 0u32;
-        #[allow(clippy::too_many_arguments)]
-        fn seed_walk(
-            doc: &Document,
-            node: NodeId,
-            cursor: &mut SummaryCursor,
-            summary: &mut Summary,
-            alias: &AliasMap,
-            dictionary: &mut Dictionary,
-            analyzer: Analyzer,
-            next: &mut u32,
-        ) {
-            match &doc.node(node).kind {
-                NodeKind::Text(text) => {
-                    let (tokens, np) = analyzer.analyze_from(text, *next);
-                    *next = np;
-                    for t in tokens {
-                        dictionary.intern(&t.text);
-                    }
-                }
-                NodeKind::Element { name, .. } => {
-                    let label = alias.resolve(name).to_string();
-                    let sid = cursor.enter(summary, &label);
-                    summary.record_element(sid);
-                    for &child in &doc.node(node).children {
-                        seed_walk(
-                            doc, child, cursor, summary, alias, dictionary, analyzer, next,
-                        );
-                    }
-                    cursor.leave();
-                }
-            }
-        }
-        seed_walk(
-            &doc,
-            doc.root(),
-            &mut cursor,
-            &mut summary,
-            &alias,
-            &mut dictionary,
-            analyzer,
-            &mut next,
-        );
-        (summary, alias, dictionary, analyzer)
+        walk(&doc, 0, &alias, analyzer, &mut rows).unwrap();
+        (rows.summary, alias, rows.dictionary, analyzer)
     }
 
     #[test]

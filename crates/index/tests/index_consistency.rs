@@ -185,75 +185,3 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 }
-
-#[test]
-fn streaming_and_dom_indexing_are_equivalent() {
-    let docs: Vec<String> = vec![
-        "<a><s>one two <b>three</b></s><s>four</s><empty/></a>".into(),
-        "<a><!-- comment --><s>five <![CDATA[six]]></s><?pi data?></a>".into(),
-    ];
-
-    let build_with = |streaming: bool, name: &str| {
-        let mut path = std::env::temp_dir();
-        path.push(format!("trex-streamvs-{name}-{}", std::process::id()));
-        let store = Store::create(&path, 64).unwrap();
-        let mut b = IndexBuilder::new(
-            &store,
-            SummaryKind::Incoming,
-            AliasMap::identity(),
-            Analyzer::default(),
-        )
-        .unwrap();
-        for d in &docs {
-            if streaming {
-                b.add_document_streaming(d).unwrap();
-            } else {
-                b.add_document(d).unwrap();
-            }
-        }
-        b.finish().unwrap();
-        (TrexIndex::open(Arc::new(store)).unwrap(), path)
-    };
-    let (dom, dom_path) = build_with(false, "dom");
-    let (stream, stream_path) = build_with(true, "stream");
-
-    // Identical catalogs.
-    assert_eq!(dom.summary().node_count(), stream.summary().node_count());
-    assert_eq!(dom.dictionary().len(), stream.dictionary().len());
-    assert_eq!(dom.stats().element_count, stream.stats().element_count);
-    assert_eq!(dom.stats().avg_element_len, stream.stats().avg_element_len);
-
-    // Identical postings for every term.
-    let dom_postings = dom.postings().unwrap();
-    let stream_postings = stream.postings().unwrap();
-    for (term, text) in dom.dictionary().iter() {
-        let stream_term = stream.dictionary().lookup(text).unwrap();
-        let mut a = dom_postings.positions(term).unwrap();
-        let mut b = stream_postings.positions(stream_term).unwrap();
-        loop {
-            let (pa, pb) = (a.next_position().unwrap(), b.next_position().unwrap());
-            assert_eq!(pa, pb, "term {text}");
-            if pa.is_max() {
-                break;
-            }
-        }
-        assert_eq!(
-            dom.term_stats(term).unwrap(),
-            stream.term_stats(stream_term).unwrap()
-        );
-    }
-
-    // Identical element rows.
-    let mut a = dom.elements().unwrap().scan_all().unwrap();
-    let mut b = stream.elements().unwrap().scan_all().unwrap();
-    loop {
-        let (ra, rb) = (a.next_row().unwrap(), b.next_row().unwrap());
-        assert_eq!(ra, rb);
-        if ra.is_none() {
-            break;
-        }
-    }
-
-    std::fs::remove_file(&dom_path).ok();
-    std::fs::remove_file(&stream_path).ok();
-}

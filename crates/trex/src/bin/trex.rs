@@ -56,8 +56,8 @@ const HELP: &str = "\
 trex — self-managing top-k XML retrieval (reproduction of Consens et al., ICDE 2007)
 
 usage:
-  trex build <store.db> --dir <xml-dir> [--threads N] [--partitions N] [--store-docs] [--checkpoint-every N]
-  trex build <store.db> --synthetic ieee|wiki --docs N [--threads N] [--partitions N] [--store-docs] [--checkpoint-every N]
+  trex build <store.db> --dir <xml-dir> [--partitions N] [--store-docs] [--checkpoint-every N]
+  trex build <store.db> --synthetic ieee|wiki --docs N [--partitions N] [--store-docs] [--checkpoint-every N]
   trex info <store.db>
   trex query <store.db> \"<nexi>\" [-k N] [--strategy auto|era|ta|merge] [--snippets]
   trex explain <store.db> \"<nexi>\" [-k N]
@@ -146,10 +146,6 @@ fn has_flag(args: &[String], name: &str) -> bool {
 
 fn build(args: &[String]) -> Result<(), String> {
     let store = store_arg(args)?;
-    let threads: usize = flag(args, "--threads")
-        .map(|v| v.parse().map_err(|_| "--threads expects a number"))
-        .transpose()?
-        .unwrap_or(4);
     let partitions: usize = flag(args, "--partitions")
         .map(|v| v.parse().map_err(|_| "--partitions expects a number"))
         .transpose()?
@@ -174,11 +170,14 @@ fn build(args: &[String]) -> Result<(), String> {
         if paths.is_empty() {
             return Err(format!("no .xml files in {dir}"));
         }
-        eprintln!("indexing {} documents from {dir}…", paths.len());
-        let docs = paths.into_iter().map(|p| {
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
-        });
-        TrexSystem::build_parallel(config, partitions, docs, threads)
+        let docs = paths
+            .iter()
+            .map(|p| {
+                std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
+            })
+            .collect::<Result<Vec<String>, String>>()?;
+        eprintln!("indexing {} documents from {dir}…", docs.len());
+        TrexSystem::build_partitioned(config, partitions, docs)
     } else if let Some(kind) = flag(args, "--synthetic") {
         let docs: usize = flag(args, "--docs")
             .map(|v| v.parse().map_err(|_| "--docs expects a number"))
@@ -191,7 +190,7 @@ fn build(args: &[String]) -> Result<(), String> {
                     docs,
                     ..CorpusConfig::ieee_default()
                 });
-                TrexSystem::build_parallel(config, partitions, gen.documents(), threads)
+                TrexSystem::build_partitioned(config, partitions, gen.documents())
             }
             "wiki" => {
                 let gen = WikiGenerator::new(CorpusConfig {
@@ -199,7 +198,7 @@ fn build(args: &[String]) -> Result<(), String> {
                     ..CorpusConfig::wiki_default()
                 });
                 config.alias = AliasMap::inex_wiki();
-                TrexSystem::build_parallel(config, partitions, gen.documents(), threads)
+                TrexSystem::build_partitioned(config, partitions, gen.documents())
             }
             other => return Err(format!("unknown synthetic collection {other:?}")),
         }

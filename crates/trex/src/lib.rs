@@ -73,10 +73,8 @@ pub use trex_summary::{AliasMap, SummaryKind};
 pub use trex_text::Analyzer;
 
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use trex_index::IndexBuilder;
 use trex_storage::Store;
 
@@ -218,17 +216,29 @@ impl TrexSystem {
         })
     }
 
-    /// The one build routine: creates the `partitions` stores, lets `feed`
-    /// push the corpus through one routed [`IndexBuilder`] — one pass, one
-    /// shared summary/dictionary/statistics catalog written to every store,
-    /// documents routed by [`partition_of`] over their global ids — and
-    /// opens the system on the result. Whatever an earlier build left at
-    /// this path under the other layout (or a wider family) is removed, so
-    /// [`TrexSystem::open`] can tell the layout from what is on disk.
-    fn build_with(
+    /// Builds a fresh single-store index over `documents` (any iterator of
+    /// XML strings) and opens the system on it. An existing store is
+    /// replaced.
+    pub fn build(
+        config: TrexConfig,
+        documents: impl IntoIterator<Item = String>,
+    ) -> Result<TrexSystem> {
+        TrexSystem::build_partitioned(config, 1, documents)
+    }
+
+    /// Like [`TrexSystem::build`], over `partitions` stores (clamped to
+    /// ≥ 1; one partition is exactly `build`). Answers are byte-identical
+    /// at any partition count. The corpus goes through one routed
+    /// [`IndexBuilder`] — one pass, one shared summary/dictionary/statistics
+    /// catalog written to every store, documents routed by
+    /// [`partition_of`] over their global ids. Whatever an earlier build
+    /// left at this path under the other layout (or a wider family) is
+    /// removed, so [`TrexSystem::open`] can tell the layout from what is on
+    /// disk.
+    pub fn build_partitioned(
         config: TrexConfig,
         partitions: usize,
-        feed: impl FnOnce(&mut IndexBuilder<'_>) -> Result<()>,
+        documents: impl IntoIterator<Item = String>,
     ) -> Result<TrexSystem> {
         let partitions = partitions.max(1);
         let paths = store_paths(&config.store_path, partitions);
@@ -252,100 +262,11 @@ impl TrexSystem {
             builder.enable_document_store()?;
         }
         builder.set_checkpoint_interval(config.build_checkpoint_every);
-        feed(&mut builder)?;
+        for doc in documents {
+            builder.add_document(&doc)?;
+        }
         builder.finish()?;
         TrexSystem::assemble(stores, &config.store_path)
-    }
-
-    /// Builds a fresh single-store index over `documents` (any iterator of
-    /// XML strings) and opens the system on it. An existing store is
-    /// replaced.
-    pub fn build(
-        config: TrexConfig,
-        documents: impl IntoIterator<Item = String>,
-    ) -> Result<TrexSystem> {
-        TrexSystem::build_partitioned(config, 1, documents)
-    }
-
-    /// Like [`TrexSystem::build`], over `partitions` stores (clamped to
-    /// ≥ 1; one partition is exactly `build`). Answers are byte-identical
-    /// at any partition count.
-    pub fn build_partitioned(
-        config: TrexConfig,
-        partitions: usize,
-        documents: impl IntoIterator<Item = String>,
-    ) -> Result<TrexSystem> {
-        TrexSystem::build_with(config, partitions, |builder| {
-            for doc in documents {
-                builder.add_document(&doc)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Like [`TrexSystem::build_partitioned`], but parses documents on
-    /// `threads` worker threads while the (inherently sequential)
-    /// summary/index construction runs on the calling thread. Documents are
-    /// indexed in input order, so the result is byte-identical to a
-    /// sequential build.
-    pub fn build_parallel(
-        config: TrexConfig,
-        partitions: usize,
-        documents: impl IntoIterator<Item = String> + Send,
-        threads: usize,
-    ) -> Result<TrexSystem> {
-        let threads = threads.max(1);
-        TrexSystem::build_with(config, partitions, |builder| {
-            std::thread::scope(|scope| {
-                let (raw_tx, raw_rx) = sync_channel::<(usize, String)>(threads * 4);
-                let (parsed_tx, parsed_rx) =
-                    sync_channel::<(usize, trex_xml::Result<trex_xml::Document>)>(threads * 4);
-                // The parse workers share the raw queue; the last one to exit
-                // drops it, which unblocks the feeder when the build fails.
-                let raw_rx = Arc::new(Mutex::new(raw_rx));
-
-                for _ in 0..threads {
-                    let raw_rx = raw_rx.clone();
-                    let parsed_tx = parsed_tx.clone();
-                    scope.spawn(move || loop {
-                        let Ok((i, xml)) = raw_rx.lock().recv() else {
-                            break;
-                        };
-                        if parsed_tx
-                            .send((i, trex_xml::Document::parse(&xml)))
-                            .is_err()
-                        {
-                            break;
-                        }
-                    });
-                }
-                drop(raw_rx);
-                drop(parsed_tx);
-
-                let feeder = scope.spawn(move || {
-                    for item in documents.into_iter().enumerate() {
-                        if raw_tx.send(item).is_err() {
-                            break;
-                        }
-                    }
-                });
-
-                // Reorder parsed documents back into input order.
-                let mut pending: std::collections::BTreeMap<usize, trex_xml::Document> =
-                    std::collections::BTreeMap::new();
-                let mut next = 0usize;
-                for (i, parsed) in parsed_rx.iter() {
-                    let doc = parsed.map_err(trex_index::IndexError::Xml)?;
-                    pending.insert(i, doc);
-                    while let Some(doc) = pending.remove(&next) {
-                        builder.add_parsed(&doc)?;
-                        next += 1;
-                    }
-                }
-                feeder.join().expect("feeder thread");
-                Ok(())
-            })
-        })
     }
 
     /// Opens an existing system built earlier: the store file at
@@ -604,7 +525,13 @@ impl TrexSystem {
         let Some(docs) = index.documents()? else {
             return Ok(None);
         };
-        Ok(docs.snippet(answer.element, &index.analyzer())?)
+        Ok(docs.snippet(
+            answer.sid,
+            answer.element,
+            index.summary(),
+            index.alias(),
+            index.analyzer(),
+        )?)
     }
 
     /// The raw XML of a stored document, when `store_documents` was set.

@@ -336,3 +336,48 @@ fn partitioned_family_answers_like_the_single_store() {
         let _ = std::fs::remove_file(format!("{family}.p{i}"));
     }
 }
+
+/// A fresh directory under the temp dir for one test's input files.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("trex-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn build_from_dir_stores_the_input_bytes() {
+    let dir = temp_dir("raw-docs");
+    let xml = "<?xml version=\"1.0\"?>\n<!-- kept comment -->\n<article><?pi data?>\
+               <sec>xml retr<!-- split -->ieval</sec></article>\n";
+    std::fs::write(dir.join("doc.xml"), xml).unwrap();
+    let store = temp("raw-docs");
+    let (ok, _, err) = run(&[
+        "build",
+        &store,
+        "--dir",
+        dir.to_str().unwrap(),
+        "--store-docs",
+    ]);
+    assert!(ok, "build failed: {err}");
+    let system = trex::TrexSystem::open(trex::TrexConfig::new(&store)).unwrap();
+    assert_eq!(system.document(0).unwrap().as_deref(), Some(xml));
+    drop(system);
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn build_from_dir_reports_an_unreadable_entry() {
+    let dir = temp_dir("unreadable");
+    std::fs::write(dir.join("good.xml"), "<a>text</a>").unwrap();
+    std::fs::create_dir(dir.join("broken.xml")).unwrap();
+    let store = temp("unreadable");
+    let (ok, _, err) = run(&["build", &store, "--dir", dir.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(err.contains("cannot read"), "{err}");
+    assert!(err.contains("broken.xml"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&dir);
+}

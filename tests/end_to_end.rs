@@ -201,6 +201,41 @@ fn snippets_reproduce_answer_elements() {
 }
 
 #[test]
+fn snippet_is_the_answer_element_not_a_child_with_its_span() {
+    // `sec` and its only child `p` cover the same two tokens; the answer
+    // is the `sec`, so the snippet must be the `sec`, before and after the
+    // same document goes through ingest and a fold.
+    let store = temp("shared-span");
+    let mut config = TrexConfig::new(&store);
+    config.store_documents = true;
+    let shared = "<article><sec><p>alpha beta</p></sec><sec>gamma</sec></article>";
+    let docs = vec![
+        shared.to_string(),
+        "<article><sec><p>delta</p></sec><sec>epsilon</sec></article>".to_string(),
+    ];
+    let system = TrexSystem::build(config, docs).unwrap();
+    let ingested = system.ingest_document(shared).unwrap();
+    assert!(system.fold_once().unwrap().is_some());
+    let result = system
+        .search("/article/sec[about(., alpha)]", Some(10))
+        .unwrap();
+    for doc in [0, ingested] {
+        let answer = result
+            .answers
+            .iter()
+            .find(|a| a.element.doc == doc)
+            .unwrap_or_else(|| panic!("doc {doc} answers: {:?}", result.answers));
+        assert_eq!(
+            system.snippet(answer).unwrap().as_deref(),
+            Some("<sec><p>alpha beta</p></sec>"),
+            "doc {doc}"
+        );
+    }
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(trex::storage::wal_path(&store)).ok();
+}
+
+#[test]
 fn snippets_unavailable_without_document_store() {
     let store = temp("nosnippets");
     let system = TrexSystem::build(TrexConfig::new(&store), small_ieee(10)).unwrap();
