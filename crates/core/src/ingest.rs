@@ -187,13 +187,11 @@ pub fn fold_once(index: &TrexIndex) -> Result<Option<FoldReport>> {
         // in several docs appended in id order stay sorted too.
         debug_assert!(staged.values().all(|v| v.windows(2).all(|w| w[0] < w[1])));
 
-        // 1. Postings: merge each staged list after the on-disk one (delta
+        // 1. Postings: append each staged list after the on-disk one (delta
         //    doc ids sort strictly above every folded id).
         let mut postings = index.postings()?;
         for (&term, positions) in &staged {
-            let mut merged = postings.all_positions(term)?;
-            merged.extend_from_slice(positions);
-            postings.replace_term(term, &merged)?;
+            postings.append(term, positions)?;
         }
 
         // 2. Element rows and the docstore overlay.

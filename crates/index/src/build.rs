@@ -37,7 +37,7 @@ use crate::catalog::{
 use crate::docstore::DocStoreWriter;
 use crate::elements::{ElementsTable, ELEMENTS_TABLE};
 use crate::encode::{ElementRef, Position};
-use crate::postings::POSTINGS_TABLE;
+use crate::postings::{PostingsTable, POSTINGS_TABLE};
 use crate::walk::{walk, Visitor};
 use crate::{IndexError, Result};
 
@@ -266,15 +266,16 @@ impl<'s> IndexBuilder<'s> {
         term_stats.sort_unstable_by_key(|(t, _)| *t);
 
         for sink in self.sinks {
-            // Posting keys ascend across sorted terms and within each term,
-            // so the whole table is built with one B+tree bulk load.
+            // Appending the terms in ascending order makes every insert an
+            // append past the table's last key. Each list is dropped once
+            // written, so the build's postings shrink as the table grows.
             let mut terms: Vec<(TermId, Vec<Position>)> = sink.postings.into_iter().collect();
             terms.sort_unstable_by_key(|(t, _)| *t);
-            let entries = terms.iter().flat_map(|(term, positions)| {
-                debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-                crate::postings::chunk_entries(*term, positions, chunk_size)
-            });
-            sink.store.create_table_bulk(POSTINGS_TABLE, entries)?;
+            let table = sink.store.create_table(POSTINGS_TABLE)?;
+            let mut postings = PostingsTable::with_chunk_size(table, chunk_size);
+            for (term, positions) in terms {
+                postings.append(term, &positions)?;
+            }
 
             let mut stats_table = sink.store.open_or_create_table(TERM_STATS_TABLE)?;
             for &(term, (_, df, cf)) in &term_stats {

@@ -1,7 +1,7 @@
 //! The in-memory *delta index* for live document ingestion.
 //!
-//! A built store is sealed: `IndexBuilder::finish` bulk-loads the posting
-//! table and writes the catalog blobs. To accept documents afterwards the
+//! A built store is sealed: `IndexBuilder::finish` appends every posting
+//! list and writes the catalog blobs. To accept documents afterwards the
 //! system stages them here — an in-memory overlay holding, per ingested
 //! document, its element rows, its postings over the *frozen* base
 //! dictionary, and its raw XML (a docstore overlay). Durability comes from

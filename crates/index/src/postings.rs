@@ -4,12 +4,13 @@
 use std::sync::Arc;
 
 use trex_obs::IndexCounters;
-use trex_storage::{Result, Table};
+use trex_storage::{Result, StorageError, Table};
 use trex_text::TermId;
 
 use crate::encode::{
     decode_postings_key, decode_postings_value, postings_key, postings_value, Position,
 };
+use crate::IndexError;
 
 /// Name of the table inside the store.
 pub const POSTINGS_TABLE: &str = "postings";
@@ -49,15 +50,61 @@ impl PostingsTable {
         self
     }
 
-    /// Writes the complete posting list of `term`. `positions` must be
-    /// sorted ascending and duplicate-free; the `m-pos` sentinel is appended
-    /// to the final chunk automatically.
+    /// Appends `positions` to the posting list of `term`: the one way
+    /// postings are written, by the build (a new term per call) and by the
+    /// delta fold. `positions` must be strictly ascending and sort above
+    /// every stored position of `term`, as a fold's positions do because
+    /// ingested doc ids are allocated above every stored one; the `m-pos`
+    /// sentinel stays at the end of the list.
     ///
-    /// Chunks are bounded both by the configured position count and by the
-    /// storage engine's value size: a chunk is flushed early if its
-    /// delta-encoding would no longer fit in one tuple.
-    pub fn put_term(&mut self, term: TermId, positions: &[Position]) -> Result<()> {
-        for (key, value) in chunk_entries(term, positions, self.chunk_size) {
+    /// Only the stored tail chunk (the one holding `m-pos`) is rewritten, or
+    /// the whole list when `term` is new. Every chunk but the last holds
+    /// exactly the chunk size, so the records written are the ones a
+    /// rewrite of the whole list would write.
+    ///
+    /// A stored tail that does not end in `m-pos` is
+    /// [`StorageError::Corrupt`]; positions at or below the stored tail are
+    /// refused with [`IndexError::StaleDocId`] before anything is written.
+    pub fn append(&mut self, term: TermId, positions: &[Position]) -> crate::Result<()> {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "sorted input");
+        // The stored tail chunk of `term`, and the chunk before it.
+        let (mut before, mut tail) = (None, None);
+        let mut cursor = self.table.seek(&postings_key(term, Position::MIN))?;
+        while let Some(entry) = cursor.next_entry()? {
+            if decode_postings_key(&entry.0)?.0 != term {
+                break;
+            }
+            before = tail.replace(entry);
+        }
+        drop(cursor);
+
+        let mut kept = Vec::new();
+        if let Some((key, value)) = &tail {
+            if positions.is_empty() {
+                return Ok(());
+            }
+            kept = decode_chunk(key, value)?;
+            if kept.pop() != Some(Position::MAX) {
+                return Err(StorageError::Corrupt(format!(
+                    "posting list of term {term} does not end in m-pos"
+                ))
+                .into());
+            }
+            let last = match (kept.last(), &before) {
+                (Some(&p), _) => Some(p),
+                (None, Some((key, value))) => decode_chunk(key, value)?.last().copied(),
+                (None, None) => None,
+            };
+            if let Some(last) = last.filter(|&last| positions[0] <= last) {
+                return Err(IndexError::StaleDocId {
+                    doc_id: positions[0].doc,
+                    watermark: last.doc.saturating_add(1),
+                });
+            }
+            self.table.delete(key)?;
+        }
+        let list = kept.into_iter().chain(positions.iter().copied());
+        for (key, value) in chunk_entries(term, list, self.chunk_size) {
             self.table.insert(&key, &value)?;
         }
         Ok(())
@@ -78,43 +125,6 @@ impl PostingsTable {
         })
     }
 
-    /// Reads the complete stored list of `term`, without the trailing
-    /// `m-pos` sentinel. Used by the delta fold to merge staged positions
-    /// into the on-disk list.
-    pub fn all_positions(&self, term: TermId) -> Result<Vec<Position>> {
-        let mut out = Vec::new();
-        let mut it = self.positions(term)?;
-        loop {
-            let p = it.next_position()?;
-            if p.is_max() {
-                return Ok(out);
-            }
-            out.push(p);
-        }
-    }
-
-    /// Replaces the stored list of `term` with `positions` (sorted
-    /// ascending, duplicate-free): deletes the existing chunk tuples, then
-    /// rewrites the list. The delta fold uses this to append ingested
-    /// documents' positions, which sort strictly after every on-disk
-    /// position because delta doc ids are allocated above the built range.
-    pub fn replace_term(&mut self, term: TermId, positions: &[Position]) -> Result<()> {
-        let mut stale = Vec::new();
-        let mut cursor = self.table.seek(&postings_key(term, Position::MIN))?;
-        while let Some((key, _)) = cursor.next_entry()? {
-            let (t, _) = decode_postings_key(&key)?;
-            if t != term {
-                break;
-            }
-            stale.push(key);
-        }
-        drop(cursor);
-        for key in stale {
-            self.table.delete(&key)?;
-        }
-        self.put_term(term, positions)
-    }
-
     /// Number of chunk tuples stored for `term` (ablation statistics).
     pub fn chunk_count(&self, term: TermId) -> Result<usize> {
         let mut cursor = self.table.seek(&postings_key(term, Position::MIN))?;
@@ -132,23 +142,21 @@ impl PostingsTable {
 
 /// Encodes one term's posting list into its chunked (key, value) tuples,
 /// appending the `m-pos` sentinel. `positions` must be strictly ascending.
-/// Chunks are bounded both by `chunk_size` and by the storage value limit.
-/// Exposed so the index builder can feed all terms' chunks, in key order,
-/// straight into a B+tree bulk load.
-pub fn chunk_entries(
+/// Chunks are bounded both by `chunk_size` and by the storage value limit;
+/// every chunk but the last holds exactly that many positions.
+fn chunk_entries(
     term: TermId,
-    positions: &[Position],
+    positions: impl IntoIterator<Item = Position>,
     chunk_size: usize,
 ) -> Vec<(Vec<u8>, Vec<u8>)> {
-    debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "sorted input");
     // Worst-case encoded bytes per position: two 5-byte varints.
     const WORST_PER_POSITION: usize = 10;
     let byte_cap = (trex_storage::MAX_VALUE_LEN / WORST_PER_POSITION).max(2);
     let effective = chunk_size.max(2).min(byte_cap);
 
-    let mut out = Vec::with_capacity(positions.len() / effective + 1);
+    let mut out = Vec::new();
     let mut chunk: Vec<Position> = Vec::with_capacity(effective);
-    for &p in positions.iter().chain(std::iter::once(&Position::MAX)) {
+    for p in positions.into_iter().chain(std::iter::once(Position::MAX)) {
         chunk.push(p);
         if chunk.len() >= effective {
             out.push((postings_key(term, chunk[0]), postings_value(&chunk)));
@@ -159,6 +167,11 @@ pub fn chunk_entries(
         out.push((postings_key(term, chunk[0]), postings_value(&chunk)));
     }
     out
+}
+
+/// Decodes one stored chunk tuple into its positions.
+fn decode_chunk(key: &[u8], value: &[u8]) -> Result<Vec<Position>> {
+    decode_postings_value(decode_postings_key(key)?.1, value)
 }
 
 /// Streaming iterator over one term's positions.
@@ -227,6 +240,7 @@ impl PositionIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trex_storage::Store;
 
     fn with_table<R>(name: &str, chunk: usize, f: impl FnOnce(&mut PostingsTable) -> R) -> R {
@@ -250,7 +264,7 @@ mod tests {
     fn positions_round_trip_with_m_pos() {
         with_table("rt", 4, |t| {
             let positions = vec![pos(0, 1), pos(0, 7), pos(1, 2), pos(3, 0), pos(3, 1)];
-            t.put_term(5, &positions).unwrap();
+            t.append(5, &positions).unwrap();
             let mut it = t.positions(5).unwrap();
             for &want in &positions {
                 assert_eq!(it.next_position().unwrap(), want);
@@ -264,7 +278,7 @@ mod tests {
     fn chunking_splits_long_lists() {
         with_table("chunks", 4, |t| {
             let positions: Vec<Position> = (0..10).map(|i| pos(0, i * 3)).collect();
-            t.put_term(1, &positions).unwrap();
+            t.append(1, &positions).unwrap();
             // 10 positions + m-pos = 11 → 3 chunks of ≤4.
             assert_eq!(t.chunk_count(1).unwrap(), 3);
             let mut it = t.positions(1).unwrap();
@@ -278,8 +292,8 @@ mod tests {
     #[test]
     fn terms_do_not_bleed_into_each_other() {
         with_table("bleed", 4, |t| {
-            t.put_term(1, &[pos(0, 1)]).unwrap();
-            t.put_term(2, &[pos(0, 2)]).unwrap();
+            t.append(1, &[pos(0, 1)]).unwrap();
+            t.append(2, &[pos(0, 2)]).unwrap();
             let mut it = t.positions(1).unwrap();
             assert_eq!(it.next_position().unwrap(), pos(0, 1));
             assert!(it.next_position().unwrap().is_max());
@@ -290,7 +304,7 @@ mod tests {
     #[test]
     fn missing_term_yields_m_pos_immediately() {
         with_table("missing", 4, |t| {
-            t.put_term(7, &[pos(0, 1)]).unwrap();
+            t.append(7, &[pos(0, 1)]).unwrap();
             let mut it = t.positions(3).unwrap();
             assert!(it.next_position().unwrap().is_max());
         });
@@ -299,7 +313,7 @@ mod tests {
     #[test]
     fn empty_posting_list_stores_only_m_pos() {
         with_table("emptylist", 4, |t| {
-            t.put_term(9, &[]).unwrap();
+            t.append(9, &[]).unwrap();
             let mut it = t.positions(9).unwrap();
             assert!(it.next_position().unwrap().is_max());
             assert_eq!(t.chunk_count(9).unwrap(), 1);
@@ -312,12 +326,100 @@ mod tests {
             let positions: Vec<Position> = (0..20).map(|i| pos(i / 5, (i % 5) * 4)).collect();
             let mut sorted = positions.clone();
             sorted.sort();
-            t.put_term(2, &sorted).unwrap();
+            t.append(2, &sorted).unwrap();
             let mut it = t.positions(2).unwrap();
             assert_eq!(it.seek_position(pos(1, 5)).unwrap(), pos(1, 8));
             // (1,8) was consumed by the previous seek; the stream resumes after it.
             assert_eq!(it.seek_position(pos(1, 8)).unwrap(), pos(1, 12));
             assert!(it.seek_position(pos(99, 0)).unwrap().is_max());
         });
+    }
+
+    /// Every record of the table, in key order.
+    fn records(t: &PostingsTable) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut cursor = t.table.scan().unwrap();
+        let mut out = Vec::new();
+        while let Some(entry) = cursor.next_entry().unwrap() {
+            out.push(entry);
+        }
+        out
+    }
+
+    #[test]
+    fn append_refuses_a_tail_without_m_pos() {
+        with_table("nompos", 4, |t| {
+            let chunk = [pos(0, 1), pos(0, 2)];
+            t.table
+                .insert(&postings_key(3, chunk[0]), &postings_value(&chunk))
+                .unwrap();
+            let before = records(t);
+            let err = t.append(3, &[pos(1, 0)]).unwrap_err();
+            assert!(
+                matches!(err, IndexError::Storage(StorageError::Corrupt(_))),
+                "{err}"
+            );
+            assert_eq!(records(t), before, "nothing written");
+        });
+    }
+
+    #[test]
+    fn append_refuses_positions_at_or_below_the_stored_tail() {
+        // Chunk size 2 over two positions leaves a tail chunk of `m-pos`
+        // alone (term 5), so the check must look at the chunk before it.
+        with_table("unsorted", 2, |t| {
+            t.append(4, &[pos(2, 0), pos(2, 5), pos(3, 1)]).unwrap();
+            t.append(5, &[pos(2, 0), pos(2, 5)]).unwrap();
+            let before = records(t);
+            for (term, stale) in [
+                (4, pos(3, 1)),
+                (4, pos(1, 9)),
+                (5, pos(2, 5)),
+                (5, pos(0, 0)),
+            ] {
+                let err = t.append(term, &[stale, pos(9, 0)]).unwrap_err();
+                assert!(matches!(err, IndexError::StaleDocId { .. }), "{err}");
+            }
+            assert_eq!(records(t), before, "nothing written");
+            t.append(5, &[pos(2, 6)]).unwrap();
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Appending a list piece by piece, for two terms in turn so tail
+        /// rewrites land mid-tree too, writes exactly the records of each
+        /// whole list's chunking.
+        #[test]
+        fn prop_appended_pieces_equal_the_whole_list(
+            lists in proptest::collection::vec(
+                proptest::collection::btree_set((0u32..40, 0u32..60), 0..400),
+                2,
+            ),
+            cuts in proptest::collection::vec(0usize..400, 0..8),
+            chunk in 2usize..12,
+        ) {
+            let lists: Vec<Vec<Position>> = lists
+                .into_iter()
+                .map(|set| set.into_iter().map(|(d, o)| pos(d, o)).collect())
+                .collect();
+            let got = with_table("prop", chunk, |t| {
+                let mut from = [0usize; 2];
+                for cut in cuts.iter().copied().chain([usize::MAX]) {
+                    for (i, list) in lists.iter().enumerate() {
+                        let to = cut.clamp(from[i], list.len());
+                        t.append(i as TermId + 1, &list[from[i]..to]).unwrap();
+                        from[i] = to;
+                    }
+                }
+                records(t)
+            });
+            let want: Vec<_> = lists
+                .iter()
+                .enumerate()
+                .flat_map(|(i, list)| chunk_entries(i as TermId + 1, list.iter().copied(), chunk))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

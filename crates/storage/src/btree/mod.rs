@@ -22,11 +22,9 @@
 //! `child_i` covers keys `< sep_i` (and `>= sep_{i-1}`); the header's
 //! `right_child` covers keys `>= sep_last`.
 
-mod bulk;
 mod cursor;
 mod tree;
 
-pub use bulk::bulk_load;
 pub use cursor::Cursor;
 pub use tree::BTree;
 

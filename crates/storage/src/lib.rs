@@ -41,7 +41,7 @@ pub mod pager;
 pub mod store;
 pub mod wal;
 
-pub use btree::{bulk_load, BTree, Cursor, MAX_KEY_LEN, MAX_VALUE_LEN};
+pub use btree::{BTree, Cursor, MAX_KEY_LEN, MAX_VALUE_LEN};
 pub use buffer::BufferPool;
 pub use error::{Result, StorageError};
 pub use page::{PageId, PAGE_SIZE};

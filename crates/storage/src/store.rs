@@ -223,29 +223,6 @@ impl Store {
         })
     }
 
-    /// Creates a new table bulk-loaded from strictly ascending entries —
-    /// far faster than repeated [`Table::insert`] for pre-sorted data (the
-    /// posting lists are written this way).
-    pub fn create_table_bulk(
-        &self,
-        name: &str,
-        entries: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
-    ) -> Result<Table> {
-        if name.len() > MAX_TABLE_NAME {
-            return Err(StorageError::KeyTooLarge(name.len()));
-        }
-        if self.catalog.lock().contains_key(name) {
-            return Err(StorageError::TableExists(name.to_string()));
-        }
-        let tree = crate::btree::bulk_load(self.pool.clone(), entries)?;
-        self.catalog.lock().insert(name.to_string(), tree.root());
-        Ok(Table {
-            name: name.to_string(),
-            tree,
-            catalog: self.catalog.clone(),
-        })
-    }
-
     /// Opens an existing table by name.
     pub fn open_table(&self, name: &str) -> Result<Table> {
         let root = self

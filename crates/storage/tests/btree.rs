@@ -247,58 +247,3 @@ fn rand_suffix(ops: &[Op]) -> u64 {
     }
     h.finish()
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    /// Bulk loading sorted entries is observationally identical to inserting
-    /// them one at a time.
-    #[test]
-    fn prop_bulk_load_equals_incremental(
-        mut keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 1..12), 0..300)
-    ) {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), (i as u32).to_le_bytes().to_vec()))
-            .collect();
-        keys.clear();
-
-        let path_a = temp("bulk-a");
-        let path_b = temp("bulk-b");
-        let store_a = Store::create(&path_a, 32).unwrap();
-        let store_b = Store::create(&path_b, 32).unwrap();
-        let bulk = store_a
-            .create_table_bulk("t", entries.iter().cloned())
-            .unwrap();
-        let mut incremental = store_b.create_table("t").unwrap();
-        for (k, v) in &entries {
-            incremental.insert(k, v).unwrap();
-        }
-
-        // Same scan contents.
-        let collect = |t: &trex_storage::Table| {
-            let mut cursor = t.scan().unwrap();
-            let mut out = Vec::new();
-            while let Some(e) = cursor.next_entry().unwrap() {
-                out.push(e);
-            }
-            out
-        };
-        prop_assert_eq!(collect(&bulk), collect(&incremental));
-
-        // Same point lookups (hits and misses).
-        for (k, v) in &entries {
-            let got = bulk.get(k).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-        }
-        prop_assert!(bulk.get(b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff").unwrap().is_none());
-
-        drop(bulk);
-        drop(incremental);
-        drop(store_a);
-        drop(store_b);
-        std::fs::remove_file(&path_a).ok();
-        std::fs::remove_file(&path_b).ok();
-    }
-}

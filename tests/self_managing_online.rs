@@ -436,7 +436,6 @@ fn hot_set_shift_moves_lists_within_a_one_shape_budget() {
     );
 
     let opts = SelfManageOptions::new(budget);
-    let mut cache = CostCache::new();
     let mut left_era = [false; 2];
     let (mut dropped, mut materialized) = (false, false);
     for (phase, (hot, cold)) in [(qa, qb), (qb, qa)].into_iter().enumerate() {
@@ -445,6 +444,10 @@ fn hot_set_shift_moves_lists_within_a_one_shape_budget() {
                 engine.evaluate(hot, k10).unwrap();
             }
             engine.evaluate(cold, k10).unwrap();
+            // A fresh cost cache per cycle: a shared one pins each shape's
+            // single timed ERA run for every later cycle, so one preempted
+            // run could outweigh the 8:1 frequency for the whole phase.
+            let mut cache = CostCache::new();
             let report = reconcile_once(system.index(), &profiler, &opts, &mut cache).unwrap();
             assert!(
                 report.bytes_used <= budget,
