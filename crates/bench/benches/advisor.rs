@@ -1,11 +1,12 @@
 //! Benches of the §4 selection algorithms (boolean LP vs greedy) on
-//! synthetic cost instances, and of the end-to-end advisor pipeline.
+//! synthetic cost instances, and of the end-to-end advisor pipeline (one
+//! reconcile cycle over a fixed workload).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trex::core::selfmanage::{solve_greedy, solve_lp, ListId, QueryCost};
 use trex::corpus::Collection;
-use trex::{AdvisorOptions, SelectionMethod, Workload};
+use trex::{SelfManageOptions, Workload};
 use trex_bench::{build_collection, Scale};
 
 /// Deterministic synthetic cost instances of `l` queries.
@@ -74,19 +75,9 @@ fn bench_advisor_pipeline(c: &mut Criterion) {
     .unwrap();
     let mut group = c.benchmark_group("advisor_pipeline");
     group.sample_size(10);
+    let opts = SelfManageOptions::new(1 << 20);
     group.bench_function("profile_and_apply", |b| {
-        b.iter(|| {
-            sys.advisor()
-                .apply(
-                    &workload,
-                    AdvisorOptions {
-                        budget_bytes: 1 << 20,
-                        method: SelectionMethod::Greedy,
-                        measure_runs: 1,
-                    },
-                )
-                .unwrap()
-        })
+        b.iter(|| sys.advise(&workload, &opts).unwrap())
     });
     group.finish();
 }

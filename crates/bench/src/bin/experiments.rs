@@ -19,7 +19,7 @@ use trex::corpus::{Collection, CorpusConfig, IeeeGenerator, PAPER_QUERIES};
 use trex::summary::{AliasMap, SummaryBuilder, SummaryKind};
 use trex::xml::Document;
 use trex::{
-    AdvisorOptions, EvalOptions, ListKind, SelectionMethod, Strategy, StrategyStats, TrexSystem,
+    EvalOptions, ListKind, SelectionMethod, SelfManageOptions, Strategy, StrategyStats, TrexSystem,
     Workload,
 };
 
@@ -400,10 +400,17 @@ fn advisor(scale: Scale) {
     )
     .expect("workload");
 
-    // Profile once (this also materialises everything) to know the total.
-    eprintln!("[advisor] profiling workload…");
-    let costs = ieee.advisor().profile(&workload, 1).expect("profile");
-    let total_bytes: u64 = costs.iter().map(|c| c.s_erpl() + c.s_rpl()).sum();
+    // Price the workload with a cycle at budget 0 (it writes nothing, and
+    // drops whatever an earlier run left) to know the total.
+    eprintln!("[advisor] pricing workload…");
+    let priced = ieee
+        .advise(&workload, &SelfManageOptions::new(0))
+        .expect("advise");
+    let total_bytes: u64 = priced.reports[0]
+        .costs
+        .iter()
+        .map(|c| c.s_erpl() + c.s_rpl())
+        .sum();
     println!(
         "workload: {} IEEE queries, full materialisation would need ~{} KiB\n",
         workload.len(),
@@ -418,23 +425,17 @@ fn advisor(scale: Scale) {
     for frac in [0.0f64, 0.1, 0.25, 0.5, 1.0] {
         let budget = (total_bytes as f64 * frac) as u64;
         for method in [SelectionMethod::Greedy, SelectionMethod::Lp] {
-            let report = ieee
-                .advisor()
-                .apply(
-                    &workload,
-                    AdvisorOptions {
-                        budget_bytes: budget,
-                        method,
-                        measure_runs: 1,
-                    },
-                )
-                .expect("advisor apply");
-            let supported = report
+            let cycle = ieee
+                .advise(&workload, &SelfManageOptions::new(budget).method(method))
+                .expect("advise");
+            assert!(cycle.bytes_used() <= budget, "budget exceeded");
+            let supported = cycle.reports[0]
                 .selection
                 .choices
                 .iter()
                 .filter(|c| !matches!(c, trex::core::Choice::None))
                 .count();
+            let saving_ms = cycle.expected_saving() * 1e3;
             println!(
                 "{:>11.0}% {:>8} {:>12} {:>18.3} {:>7}/{}",
                 frac * 100.0,
@@ -442,8 +443,8 @@ fn advisor(scale: Scale) {
                     SelectionMethod::Greedy => "greedy",
                     SelectionMethod::Lp => "lp",
                 },
-                report.bytes_used,
-                report.expected_saving * 1e3,
+                cycle.bytes_used(),
+                saving_ms,
                 supported,
                 workload.len()
             );
@@ -452,8 +453,8 @@ fn advisor(scale: Scale) {
                 "{},{:?},{},{:.3},{}",
                 frac,
                 method,
-                report.bytes_used,
-                report.expected_saving * 1e3,
+                cycle.bytes_used(),
+                saving_ms,
                 supported
             )
             .unwrap();

@@ -41,16 +41,16 @@ pub use materialize::{collect_lists, materialize, materialize_batch, ListKind, S
 pub use merge::{merge, merge_with_deadline, MergeStats};
 pub use metrics::StrategyMetrics;
 pub use partition::{
-    merge_topk, partition_store_path, reconcile_partitioned, split_budget, Partition,
+    advise, merge_topk, partition_store_path, reconcile_partitioned, split_budget, Partition,
     PartitionBudget, PartitionedCycle, PartitionedSystem,
 };
 pub use selfmanage::cost::{
     predicted_merge_accesses, predicted_ta_accesses, CostValidation, TA_PREDICTION_FACTOR,
 };
 pub use selfmanage::{
-    cycle_record, reconcile_once, Advisor, AdvisorOptions, AdvisorReport, Choice, CostCache,
-    ManagerHooks, ProfilerConfig, QueryCost, ReconcileReport, Selection, SelectionMethod,
-    SelfManageOptions, SelfManager, Workload, WorkloadProfiler, WorkloadQuery,
+    cycle_record, reconcile_once, reconcile_workload, Choice, CostCache, ManagerHooks,
+    ProfilerConfig, QueryCost, ReconcileReport, Selection, SelectionMethod, SelfManageOptions,
+    SelfManager, Workload, WorkloadProfiler, WorkloadQuery,
 };
 pub use serve::{
     normalize_nexi, parse_query_request, CacheKey, CacheStatus, CachedResult, Deadline,

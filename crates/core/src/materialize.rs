@@ -8,14 +8,13 @@
 //! The write path is split in two layers so callers control checkpointing:
 //! [`materialize_batch`] writes lists (each under the index's maintenance
 //! write gate) without flushing, and [`materialize`] adds the durability
-//! flush — one WAL checkpoint — for direct callers. Reconcile cycles call
-//! the batch form repeatedly and checkpoint once at the end of the cycle
-//! instead of once per query.
+//! flush — one WAL checkpoint — for direct callers. Reconcile cycles use
+//! neither: they take [`collect_lists`] and write only the selected lists
+//! that are missing, each under the budget, with one checkpoint per cycle.
 
-use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
 
-use trex_index::{ElementRef, ListFamily, ListStats, ListTable, TrexIndex};
+use trex_index::{ElementRef, TrexIndex};
 use trex_summary::Sid;
 use trex_text::TermId;
 
@@ -124,29 +123,4 @@ pub fn materialize(
     let written = materialize_batch(index, sids, terms, kind)?;
     index.store().flush()?;
     Ok(written)
-}
-
-/// Drops every list of `table` whose `(term, sid)` is not in `keep`, each
-/// drop under the index's maintenance write gate so queries interleave
-/// between drops, and hands each dropped list to `on_drop`. Returns the
-/// summed time spent waiting for and holding the gate.
-pub(crate) fn drop_unkept<F: ListFamily>(
-    index: &TrexIndex,
-    table: &mut ListTable<F>,
-    keep: &HashSet<(TermId, Sid)>,
-    mut on_drop: impl FnMut(TermId, Sid, ListStats),
-) -> Result<Duration> {
-    let mut gated = Duration::ZERO;
-    for (term, sid, stats) in table.lists()? {
-        if !keep.contains(&(term, sid)) {
-            let started = Instant::now();
-            {
-                let _gate = index.maintenance().enter_write();
-                table.drop_list(term, sid)?;
-            }
-            gated += started.elapsed();
-            on_drop(term, sid, stats);
-        }
-    }
-    Ok(gated)
 }

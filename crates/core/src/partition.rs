@@ -33,6 +33,8 @@
 //! sizes those shapes touch (the profiled weights themselves are identical
 //! across partitions — every partition sees every query — so locality lives
 //! entirely in the extent term). One partition gets the whole budget.
+//! [`advise`] runs the same per-partition cycle once on a given workload,
+//! under an equal split.
 
 use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
@@ -48,7 +50,8 @@ use crate::engine::{EvalOptions, QueryEngine, QueryResult, StrategyStats};
 use crate::ingest::{fold_each, FoldReport};
 use crate::scoped::run_scoped;
 use crate::selfmanage::{
-    reconcile_once, CostCache, ReconcileReport, SelfManageOptions, WorkloadProfiler,
+    reconcile_once, reconcile_workload, CostCache, ReconcileReport, SelfManageOptions, Workload,
+    WorkloadProfiler,
 };
 use crate::Result;
 
@@ -397,6 +400,15 @@ impl PartitionedCycle {
     pub fn bytes_used(&self) -> u64 {
         self.reports.iter().map(|r| r.bytes_used).sum()
     }
+
+    /// Estimated saving per workload execution (`Σ f_i Δ_i`), summed over
+    /// partitions.
+    pub fn expected_saving(&self) -> f64 {
+        self.reports
+            .iter()
+            .map(|r| r.selection.saving(&r.costs))
+            .sum()
+    }
 }
 
 /// Splits `total_bytes` across partitions proportionally to workload heat.
@@ -408,28 +420,34 @@ impl PartitionedCycle {
 /// query), so the extent term is what differentiates — a partition holding
 /// more of the hot extents gets more budget to materialise them. Falls back
 /// to an equal split when no heat is measurable (cold start, empty
-/// profiles, unresolvable shapes).
+/// profiles, unresolvable shapes) — the split [`advise`] always uses.
 pub fn split_budget(
     system: &PartitionedSystem,
     total_bytes: u64,
     max_queries: usize,
 ) -> Vec<PartitionBudget> {
-    let n = system.partitions();
-    let heats: Vec<f64> = system
+    let heats = system
         .parts()
         .iter()
         .map(|p| partition_heat(p, max_queries))
         .collect();
+    split_by_heat(total_bytes, heats)
+}
+
+/// Shares of `total_bytes` proportional to `heats`, or equal shares when
+/// the heats sum to zero or a non-finite value. Shares are floored, clamped
+/// to what is left, and the last partition takes the remainder — so the
+/// shares never exceed the total, and a single partition gets exactly
+/// `total_bytes` with no float round-trip.
+fn split_by_heat(total_bytes: u64, heats: Vec<f64>) -> Vec<PartitionBudget> {
+    let n = heats.len();
     let sum: f64 = heats.iter().sum();
     let measurable = sum > 0.0 && sum.is_finite();
-    // Shares are floored, clamped to what is left, and the last partition
-    // takes the remainder — so the shares never exceed the total, and a
-    // single partition gets exactly `total_bytes` with no float round-trip.
     let mut remaining = total_bytes;
     heats
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(partition, &heat)| {
+        .map(|(partition, heat)| {
             let share = if partition + 1 == n {
                 remaining
             } else if measurable {
@@ -488,22 +506,57 @@ pub fn reconcile_partitioned(
     );
     let started = Instant::now();
     let budgets = split_budget(system, opts.budget_bytes, opts.max_queries);
+    reconcile_each(
+        system,
+        budgets,
+        opts,
+        cycle,
+        started,
+        |i, part, part_opts| reconcile_once(&part.index, &part.profiler, part_opts, &mut caches[i]),
+    )
+}
+
+/// Runs one reconcile cycle of the given `workload` across every partition
+/// ([`reconcile_workload`] with the partition's profiler counters and a
+/// fresh cost cache), each under an equal share of `opts.budget_bytes`: a
+/// workload written by hand carries no per-partition heat. `trex advise`
+/// is this one call.
+pub fn advise(
+    system: &PartitionedSystem,
+    workload: &Workload,
+    opts: &SelfManageOptions,
+) -> Result<PartitionedCycle> {
+    let started = Instant::now();
+    let budgets = split_by_heat(opts.budget_bytes, vec![0.0; system.partitions()]);
+    reconcile_each(system, budgets, opts, 1, started, |_, part, part_opts| {
+        let counters = part.profiler.counters();
+        reconcile_workload(
+            &part.index,
+            workload,
+            counters,
+            part_opts,
+            &mut CostCache::new(),
+        )
+    })
+}
+
+/// The per-partition loop both entries share: `run` reconciles partition
+/// `i` under its share of `budgets`.
+fn reconcile_each(
+    system: &PartitionedSystem,
+    budgets: Vec<PartitionBudget>,
+    opts: &SelfManageOptions,
+    cycle: u64,
+    started: Instant,
+    mut run: impl FnMut(usize, &Partition, &SelfManageOptions) -> Result<ReconcileReport>,
+) -> Result<PartitionedCycle> {
     let mut reports = Vec::with_capacity(system.partitions());
-    for (part, (budget, cache)) in system
-        .parts()
-        .iter()
-        .zip(budgets.iter().zip(caches.iter_mut()))
-    {
+    for (i, (part, budget)) in system.parts().iter().zip(&budgets).enumerate() {
         let part_opts = SelfManageOptions {
             budget_bytes: budget.budget_bytes,
             ..*opts
         };
-        reports.push(reconcile_once(
-            &part.index,
-            &part.profiler,
-            &part_opts,
-            cache,
-        )?);
+        reports.push(run(i, part, &part_opts)?);
     }
     Ok(PartitionedCycle {
         cycle,

@@ -1,27 +1,22 @@
-//! The online self-manager: periodic, incremental advisor reconciliation
-//! concurrent with query serving.
+//! The self-manager: one reconcile cycle, run on a workload the caller
+//! gives ([`reconcile_workload`], behind `trex advise`) or on the one the
+//! [`WorkloadProfiler`] observes in the live query stream
+//! ([`reconcile_once`]), and the background [`SelfManager`] that runs the
+//! latter periodically — one cycle per partition, each under its share of
+//! the disk budget — concurrent with query serving.
 //!
-//! The offline [`Advisor`] answers "given this workload, which lists should
-//! exist?" — but it assumes a quiesced system and a hand-written workload.
-//! This module closes the loop of the paper's title: the
-//! [`WorkloadProfiler`] observes the live query stream, the [`SelfManager`]
-//! periodically re-runs the §4 selection under the disk budget — one
-//! [`reconcile_once`] per partition, each under its share of the budget —
-//! and the delta is applied *list by list* under the index's maintenance
-//! write gate
-//! — queries keep flowing between list mutations, and one that lands
-//! mid-reconcile simply observes partial coverage and falls back to ERA
-//! (correct answers, never an error; counted as `era_fallbacks`).
+//! A cycle solves the §4 selection under the budget and applies the delta
+//! *list by list* under the index's maintenance write gate — queries keep
+//! flowing between list mutations, and one that lands mid-reconcile simply
+//! observes partial coverage and falls back to ERA (correct answers, never
+//! an error; counted as `era_fallbacks`).
 //!
-//! Cost measurement is cheaper than the offline advisor's: instead of
-//! materialising every candidate's lists and timing all three strategies,
-//! a cycle measures only `T_e` (a traced ERA run, which needs no redundant
-//! lists) and *estimates* `T_m`/`T_ta` from the §4 access-count predictions
-//! scaled by the measured per-access cost. Measurements are cached per
-//! query shape ([`CostCache`]), so steady-state cycles re-measure nothing
-//! and touch no lists at all.
-//!
-//! [`Advisor`]: super::advisor::Advisor
+//! Costing writes nothing: a cycle measures only `T_e` (a traced ERA run,
+//! which needs no redundant lists) and *estimates* `T_m`/`T_ta` from the §4
+//! access-count predictions scaled by the measured per-access cost; list
+//! footprints are priced with the tables' encoders. Measurements are cached
+//! per query shape ([`CostCache`]), so steady-state cycles re-measure
+//! nothing and touch no lists at all.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -37,13 +32,12 @@ use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::engine::{EvalOptions, QueryEngine, Strategy};
-use crate::materialize::{collect_lists, drop_unkept, ScoredLists};
+use crate::materialize::{collect_lists, ScoredLists};
 use crate::partition::{reconcile_partitioned, PartitionedCycle, PartitionedSystem};
 use crate::ta::TA_MAX_TERMS;
 use crate::worker::BackgroundWorker;
 use crate::Result;
 
-use super::advisor::SelectionMethod;
 use super::cost::{predicted_merge_accesses, predicted_ta_accesses, Choice, ListId, QueryCost};
 use super::greedy::solve_greedy;
 use super::lp::solve_lp;
@@ -51,7 +45,17 @@ use super::profiler::WorkloadProfiler;
 use super::workload::Workload;
 use super::Selection;
 
-/// Options for the online self-manager.
+/// Which selection algorithm a cycle runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SelectionMethod {
+    /// Exact boolean LP (branch-and-bound), §4.1. Small workloads only.
+    Lp,
+    /// Greedy 2-approximation, §4.2.
+    #[default]
+    Greedy,
+}
+
+/// Options for a reconcile cycle and the background self-manager.
 #[derive(Debug, Clone, Copy)]
 pub struct SelfManageOptions {
     /// Disk budget `d` in bytes for the redundant lists.
@@ -60,7 +64,8 @@ pub struct SelfManageOptions {
     pub method: SelectionMethod,
     /// Pause between background reconcile cycles.
     pub interval: Duration,
-    /// How many of the heaviest profiled query shapes a cycle considers.
+    /// How many of the heaviest profiled query shapes a cycle considers (a
+    /// given workload is taken whole).
     pub max_queries: usize,
     /// Timing runs per `T_e` measurement; the median is used.
     pub measure_runs: usize,
@@ -161,7 +166,7 @@ impl CostCache {
 /// What one reconcile cycle decided and did.
 #[derive(Debug, Clone)]
 pub struct ReconcileReport {
-    /// The workload the cycle derived from the profiler (may be empty).
+    /// The workload the cycle priced (may be empty).
     pub workload: Workload,
     /// Per-query decisions, aligned with the workload order.
     pub selection: Selection,
@@ -185,27 +190,39 @@ pub struct ReconcileReport {
     pub wall: Duration,
 }
 
-/// Runs one reconcile cycle: derive the workload from `profiler`, cost it
-/// (reusing `cache`), solve the §4 selection under the budget, and apply
-/// the delta incrementally — drops first, then the missing lists, each
-/// mutation under the maintenance write gate, one WAL checkpoint at the
-/// end. Safe to run concurrently with query serving; do not run two cycles
-/// concurrently with each other (the self-manager never does).
+/// Runs one reconcile cycle on the workload `profiler` observed, with its
+/// counters: [`reconcile_workload`] of `profiler.workload(max_queries)`.
+/// An empty profile is a no-op.
 pub fn reconcile_once(
     index: &TrexIndex,
     profiler: &WorkloadProfiler,
     opts: &SelfManageOptions,
     cache: &mut CostCache,
 ) -> Result<ReconcileReport> {
-    let cycle_started = Instant::now();
-    let counters = profiler.counters().clone();
-    let telemetry = index.telemetry().clone();
     let workload = profiler.workload(opts.max_queries).unwrap_or_default();
+    reconcile_workload(index, &workload, profiler.counters(), opts, cache)
+}
+
+/// Runs one reconcile cycle on `workload`: cost it (reusing `cache`), solve
+/// the §4 selection under the budget, and apply the delta incrementally —
+/// drops first, then the missing lists, each mutation under the maintenance
+/// write gate and the budget, one WAL checkpoint at the end iff anything
+/// changed. Lists already present are kept as they are. Safe to run
+/// concurrently with query serving; do not run two cycles concurrently with
+/// each other (the self-manager never does). An empty workload leaves the
+/// lists alone rather than dropping everything.
+pub fn reconcile_workload(
+    index: &TrexIndex,
+    workload: &Workload,
+    counters: &SelfManageCounters,
+    opts: &SelfManageOptions,
+    cache: &mut CostCache,
+) -> Result<ReconcileReport> {
+    let cycle_started = Instant::now();
+    let telemetry = index.telemetry().clone();
     if workload.is_empty() {
-        // Nothing observed yet: leave the lists alone rather than dropping
-        // everything on startup.
         return Ok(ReconcileReport {
-            workload,
+            workload: workload.clone(),
             selection: Selection::none(0),
             costs: Vec::new(),
             lists_materialized: 0,
@@ -264,7 +281,7 @@ pub fn reconcile_once(
     let mut erpls = index.erpls()?;
     let mut apply = Apply {
         index,
-        counters: &counters,
+        counters,
         budget_bytes: opts.budget_bytes,
         bytes_now: 0,
         written: 0,
@@ -302,7 +319,7 @@ pub fn reconcile_once(
 
     telemetry.maint.reconcile_apply.observe(&sw_apply);
 
-    // One checkpoint per cycle (cf. the offline advisor's one per query).
+    // One checkpoint per cycle.
     if written > 0 || dropped > 0 {
         let sw_ckpt = telemetry.maint.start();
         index.store().flush()?;
@@ -313,7 +330,7 @@ pub fn reconcile_once(
 
     let bytes_used = rpls.total_bytes()? + erpls.total_bytes()?;
     Ok(ReconcileReport {
-        workload,
+        workload: workload.clone(),
         selection,
         costs,
         lists_materialized: written,
@@ -341,20 +358,28 @@ struct Apply<'a> {
 }
 
 impl Apply<'_> {
-    /// Drops every list of `table` not in `keep`.
+    /// Drops every list of `table` not in `keep`, each under the write gate
+    /// so queries interleave between drops.
     fn drop_unkept<F: ListFamily>(
         &mut self,
         table: &mut ListTable<F>,
         keep: &HashSet<(TermId, Sid)>,
     ) -> Result<()> {
-        let index = self.index;
-        let gated = drop_unkept(index, table, keep, |term, sid, stats| {
+        for (term, sid, stats) in table.lists()? {
+            if keep.contains(&(term, sid)) {
+                continue;
+            }
+            let gate_started = Instant::now();
+            {
+                let _gate = self.index.maintenance().enter_write();
+                table.drop_list(term, sid)?;
+            }
+            self.gate_pause += gate_started.elapsed();
             self.dropped += 1;
             self.counters.lists_dropped.incr();
             self.counters.bytes_dropped.add(stats.bytes);
             self.record::<F>(term, sid, "drop", stats.bytes);
-        })?;
-        self.gate_pause += gated;
+        }
         Ok(())
     }
 

@@ -18,8 +18,8 @@ use std::process::ExitCode;
 
 use trex::corpus::{CorpusConfig, IeeeGenerator, WikiGenerator};
 use trex::{
-    Advisor, AdvisorOptions, AliasMap, HttpServerConfig, ListKind, QueryRequest, SelectionMethod,
-    SelfManageOptions, Strategy, TrexConfig, TrexSystem, Workload,
+    AliasMap, HttpServerConfig, ListKind, QueryRequest, SelectionMethod, SelfManageOptions,
+    Strategy, TrexConfig, TrexSystem, Workload,
 };
 
 fn main() -> ExitCode {
@@ -414,6 +414,9 @@ fn advise(args: &[String]) -> Result<(), String> {
             .next()
             .and_then(|w| w.parse().ok())
             .ok_or(format!("line {}: expected <weight> <k> <nexi>", lineno + 1))?;
+        if k == 0 {
+            return Err(format!("line {}: k must be at least 1", lineno + 1));
+        }
         let nexi = parts
             .next()
             .ok_or(format!("line {}: missing query", lineno + 1))?
@@ -422,24 +425,17 @@ fn advise(args: &[String]) -> Result<(), String> {
         entries.push((nexi, weight, k));
     }
     let workload = Workload::from_weights(entries).map_err(|e| e.to_string())?;
-    eprintln!("profiling {} queries…", workload.len());
-    // The offline advisor has no profiler heat to split by: every partition
-    // gets an equal share of the budget.
-    let parts = system.system().parts();
-    let budget = budget / parts.len() as u64;
-    for (i, part) in parts.iter().enumerate() {
-        let report = Advisor::new(part.index())
-            .apply(
-                &workload,
-                AdvisorOptions {
-                    budget_bytes: budget,
-                    method,
-                    measure_runs: 3,
-                },
-            )
-            .map_err(|e| e.to_string())?;
-        if parts.len() > 1 {
-            println!("partition {i}:");
+    eprintln!("pricing {} queries…", workload.len());
+    let opts = SelfManageOptions::new(budget)
+        .method(method)
+        .measure_runs(3);
+    let cycle = system.advise(&workload, &opts).map_err(|e| e.to_string())?;
+    for (report, share) in cycle.reports.iter().zip(&cycle.budgets) {
+        if cycle.reports.len() > 1 {
+            println!(
+                "partition {} (budget {}):",
+                share.partition, share.budget_bytes
+            );
         }
         for (wq, choice) in workload.queries().iter().zip(&report.selection.choices) {
             println!(
@@ -447,11 +443,14 @@ fn advise(args: &[String]) -> Result<(), String> {
                 choice, wq.frequency, wq.k, wq.nexi
             );
         }
-        println!(
-            "kept {} bytes (budget {budget}), dropped {} lists, expected saving {:.6}s per workload execution",
-            report.bytes_used, report.lists_dropped, report.expected_saving
-        );
     }
+    println!(
+        "kept {} bytes (budget {budget}), wrote {} and dropped {} lists, expected saving {:.6}s per workload execution",
+        cycle.bytes_used(),
+        cycle.lists_materialized(),
+        cycle.lists_dropped(),
+        cycle.expected_saving()
+    );
     Ok(())
 }
 

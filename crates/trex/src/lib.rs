@@ -58,13 +58,13 @@ pub use trex_core::obs::{
 };
 pub use trex_core::{
     fold_once, merge_topk, parse_query_request, partition_store_path, reconcile_once,
-    reconcile_partitioned, split_budget, Advisor, AdvisorOptions, AdvisorReport, Answer,
-    CacheStatus, CostCache, CostValidation, EvalOptions, Explain, FoldManager, FoldOptions,
-    FoldReport, ListKind, Partition, PartitionBudget, PartitionedCycle, PartitionedSystem,
-    ProfilerConfig, QueryEngine, QueryRequest, QueryResponse, QueryResult, QueryService,
-    ReconcileReport, ResultCache, SelectionMethod, SelfManageOptions, SelfManager, Strategy,
-    StrategyMetrics, StrategyStats, TrexError, WireError, Workload, WorkloadProfiler,
-    WorkloadQuery, DEFAULT_CACHE_ENTRIES, TA_PREDICTION_FACTOR,
+    reconcile_partitioned, split_budget, Answer, CacheStatus, CostCache, CostValidation,
+    EvalOptions, Explain, FoldManager, FoldOptions, FoldReport, ListKind, Partition,
+    PartitionBudget, PartitionedCycle, PartitionedSystem, ProfilerConfig, QueryEngine,
+    QueryRequest, QueryResponse, QueryResult, QueryService, ReconcileReport, ResultCache,
+    SelectionMethod, SelfManageOptions, SelfManager, Strategy, StrategyMetrics, StrategyStats,
+    TrexError, WireError, Workload, WorkloadProfiler, WorkloadQuery, DEFAULT_CACHE_ENTRIES,
+    TA_PREDICTION_FACTOR,
 };
 pub use trex_index::partition_of;
 pub use trex_index::{ElementRef, TrexIndex};
@@ -505,11 +505,18 @@ impl TrexSystem {
         Ok(written)
     }
 
-    /// The offline self-managing advisor over partition 0's index (see
-    /// [`TrexSystem::start_self_manager`] for the online, all-partition
-    /// one).
-    pub fn advisor(&self) -> Advisor<'_> {
-        Advisor::new(self.index())
+    /// Runs one reconcile cycle of `workload` on every partition, each under
+    /// an equal share of `opts.budget_bytes` (see [`trex_core::advise`]):
+    /// drops the lists the selection rejects, then writes the selected ones
+    /// that are missing, skipping any write that would take the list bytes
+    /// past the budget. The offline form of
+    /// [`TrexSystem::start_self_manager`].
+    pub fn advise(
+        &self,
+        workload: &Workload,
+        opts: &SelfManageOptions,
+    ) -> Result<PartitionedCycle> {
+        trex_core::advise(&self.system, workload, opts)
     }
 
     /// The index of the partition `doc_id` is routed to.

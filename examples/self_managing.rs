@@ -1,14 +1,15 @@
 //! The self-managing advisor (paper §4): give TReX a workload and a disk
-//! budget; it measures per-query savings, solves the selection problem
-//! (greedy and exact LP), materialises the chosen RPL/ERPL lists, and drops
-//! the rest.
+//! budget; one reconcile cycle prices per-query savings, solves the
+//! selection problem (greedy and exact LP), writes the chosen RPL/ERPL
+//! lists that are missing, and drops the rest; no write takes the list
+//! bytes past the budget.
 //!
 //! ```sh
 //! cargo run --release --example self_managing
 //! ```
 
 use trex::corpus::{CorpusConfig, IeeeGenerator};
-use trex::{AdvisorOptions, SelectionMethod, TrexConfig, TrexSystem, Workload};
+use trex::{SelectionMethod, SelfManageOptions, TrexConfig, TrexSystem, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = std::env::temp_dir().join(format!("trex-selfmgmt-{}.db", std::process::id()));
@@ -44,16 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("exact boolean LP (§4.1)", SelectionMethod::Lp),
     ] {
         for budget in [4 * 1024u64, 64 * 1024, 4 * 1024 * 1024] {
-            let report = system.advisor().apply(
-                &workload,
-                AdvisorOptions {
-                    budget_bytes: budget,
-                    method,
-                    measure_runs: 1,
-                },
-            )?;
+            let opts = SelfManageOptions::new(budget).method(method);
+            let cycle = system.advise(&workload, &opts)?;
             println!("\n{label}, budget {budget} bytes:");
-            for (i, (choice, wq)) in report
+            for (i, (choice, wq)) in cycle.reports[0]
                 .selection
                 .choices
                 .iter()
@@ -66,10 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             println!(
-                "  kept {} bytes of redundant lists, dropped {} lists, expected saving {:.6}s per workload execution",
-                report.bytes_used, report.lists_dropped, report.expected_saving
+                "  kept {} bytes of redundant lists, wrote {} and dropped {} lists, expected saving {:.6}s per workload execution",
+                cycle.bytes_used(),
+                cycle.lists_materialized(),
+                cycle.lists_dropped(),
+                cycle.expected_saving()
             );
-            assert!(report.bytes_used <= budget || report.bytes_used == 0);
+            assert!(cycle.bytes_used() <= budget);
         }
     }
 

@@ -5,9 +5,10 @@
 # release-mode runs of the suites that need optimised codegen (concurrency
 # stress, crash-recovery matrix, online self-management storm, HTTP
 # serving, partition determinism, tracing/health/advisor journal,
-# block-codec property tests), and the paper's §4 TA-vs-Merge experiment
-# on a small corpus, which must exit 0 so the `experiments` binary cannot
-# rot unseen. Last, the
+# block-codec property tests), the paper's §4 TA-vs-Merge and advisor
+# experiments on a small corpus, which must exit 0 so the `experiments`
+# binary cannot rot unseen, and the self-managing example, which asserts
+# that the advisor keeps list bytes within every budget it sweeps. Last, the
 # macro-benchmark (benchmark/, a cargo package of its own that
 # tier-1 never builds) is held to the current API: its unit tests run, then
 # each of its six workloads runs briefly and must report correct answers —
@@ -59,6 +60,12 @@ cargo test --release -p trex-index --test blocks_roundtrip
 
 echo "== experiments race (paper §4, small corpus) =="
 cargo run --release -p trex-bench --bin experiments -- race --ieee 150 --wiki 150 --runs 1
+
+echo "== experiments advisor (paper §4, small corpus) =="
+cargo run --release -p trex-bench --bin experiments -- advisor --ieee 150 --wiki 150 --runs 1
+
+echo "== example self_managing (list bytes within every budget) =="
+cargo run --release -p trex --example self_managing
 
 echo "== macro-benchmark unit tests =="
 CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path benchmark/Cargo.toml

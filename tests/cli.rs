@@ -121,7 +121,26 @@ fn cli_reports_errors_cleanly() {
     assert!(!ok);
     assert!(err.contains("RPL"), "{err}");
 
+    // A workload line asking for the top 0 answers.
+    let workload = std::env::temp_dir().join(format!("trex-cli-k0-{}.txt", std::process::id()));
+    std::fs::write(
+        &workload,
+        "1 10 //article//sec[about(., xml)]\n1 0 //article//sec[about(., xml)]\n",
+    )
+    .unwrap();
+    let (ok, out, err) = run(&[
+        "advise",
+        &store,
+        "--workload",
+        workload.to_str().unwrap(),
+        "--budget",
+        "10000",
+    ]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("line 2: k must be at least 1"), "{err}");
+
     std::fs::remove_file(&store).ok();
+    std::fs::remove_file(&workload).ok();
 }
 
 #[test]
