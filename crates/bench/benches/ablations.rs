@@ -1,6 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! summary kind, posting-chunk size, buffer-pool capacity, and TA's
-//! heap-measurement / stop-check cadence.
+//! summary kind, buffer-pool capacity, and TA's heap-measurement clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -54,49 +53,6 @@ fn ablation_summary(c: &mut Criterion) {
     group.finish();
 }
 
-/// Posting-chunk size: larger chunks mean fewer B+tree entries but coarser
-/// reads. Exercised through a raw index build + ERA.
-fn ablation_chunk(c: &mut Criterion) {
-    use std::sync::Arc;
-    use trex::index::{IndexBuilder, TrexIndex};
-    use trex::storage::Store;
-
-    let mut group = c.benchmark_group("ablation_chunk");
-    group.sample_size(10);
-    let gen = IeeeGenerator::new(CorpusConfig {
-        docs: DOCS,
-        ..CorpusConfig::ieee_default()
-    });
-    let docs: Vec<String> = gen.documents().collect();
-    for chunk in [64usize, 256, 1024] {
-        let path = store_dir().join(format!("ablation-chunk-{chunk}.db"));
-        let _ = std::fs::remove_file(&path);
-        let store = Store::create(&path, 4096).unwrap();
-        let mut builder = IndexBuilder::new(
-            &store,
-            SummaryKind::Incoming,
-            AliasMap::inex_ieee(),
-            Analyzer::default(),
-        )
-        .unwrap();
-        builder.set_postings_chunk_size(chunk);
-        for d in &docs {
-            builder.add_document(d).unwrap();
-        }
-        builder.finish().unwrap();
-        let index = TrexIndex::open(Arc::new(store)).unwrap();
-        let engine = trex::QueryEngine::new(&index);
-        group.bench_function(BenchmarkId::new("era", chunk), |b| {
-            b.iter(|| {
-                engine
-                    .evaluate(QUERY, EvalOptions::new().strategy(Strategy::Era))
-                    .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Buffer-pool capacity: a pool too small for the working set forces
 /// re-reads during the zig-zag ERA scan.
 fn ablation_buffer(c: &mut Criterion) {
@@ -111,38 +67,16 @@ fn ablation_buffer(c: &mut Criterion) {
     group.finish();
 }
 
-/// Heap policy: the efficient binary heap vs the deliberately naive sorted
-/// vector with O(k) shifting — the kind of heap-management cost whose
-/// removal the paper's ITA curves quantify (§5.2). Runs TA directly so the
-/// policy can be set.
+/// Heap clock: TA with and without the pause-the-stopwatch bracketing
+/// that derives ITA's time (§5.2), so the clock's own overhead shows.
 fn ablation_heap(c: &mut Criterion) {
-    use trex::core::ta::{ta, TaOptions};
-    use trex::core::HeapPolicy;
-
     let sys = build_with("heap", SummaryKind::Incoming, 4096);
     sys.materialize_for(QUERY, ListKind::Rpl).unwrap();
     let engine = sys.engine();
     let translation = engine.translate(QUERY, Default::default()).unwrap();
-    let rpls = sys.index().rpls().unwrap();
 
     let mut group = c.benchmark_group("ablation_heap");
     group.sample_size(10);
-    for (name, policy) in [
-        ("binary", HeapPolicy::Binary),
-        ("sorted_vec", HeapPolicy::SortedVec),
-    ] {
-        for k in [10usize, 100] {
-            group.bench_function(BenchmarkId::new(format!("ta_{name}"), k), |b| {
-                b.iter(|| {
-                    let mut opts = TaOptions::new(k);
-                    opts.measure_heap = false;
-                    opts.heap_policy = policy;
-                    ta(&rpls, &translation.sids, &translation.terms, opts).unwrap()
-                })
-            });
-        }
-    }
-    // Clock overhead itself.
     for (name, measure_heap) in [("clocked", true), ("unclocked", false)] {
         group.bench_function(BenchmarkId::new("ta_k10", name), |b| {
             b.iter(|| {
@@ -161,11 +95,5 @@ fn ablation_heap(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_summary,
-    ablation_chunk,
-    ablation_buffer,
-    ablation_heap
-);
+criterion_group!(benches, ablation_summary, ablation_buffer, ablation_heap);
 criterion_main!(benches);

@@ -77,33 +77,10 @@ impl<T: PartialEq> Ord for HeapItem<T> {
     }
 }
 
-/// How the top-k structure is maintained.
-///
-/// The paper's §5.2 shows TA's heap management dominating its runtime and
-/// studies ITA, a TA with zero-cost heap operations. The `Binary` policy is
-/// an efficient array heap (heap cost small); `SortedVec` maintains a fully
-/// sorted array with O(k) shifting per displacement — the kind of costly
-/// "heap" management whose removal the paper's ITA curves quantify. The
-/// heap-policy ablation bench contrasts the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeapPolicy {
-    /// `std::collections::BinaryHeap`: O(log k) per displacement.
-    #[default]
-    Binary,
-    /// Fully sorted vector: O(k) per displacement.
-    SortedVec,
-}
-
-enum HeapImpl<T> {
-    Binary(BinaryHeap<HeapItem<T>>),
-    /// Ascending by score: index 0 is the current k-th best.
-    Sorted(Vec<HeapItem<T>>),
-}
-
 /// A bounded min-heap keeping the k highest-scored items seen.
 pub struct TopKHeap<T> {
     k: usize,
-    heap: HeapImpl<T>,
+    heap: BinaryHeap<HeapItem<T>>,
     /// Lifetime operation counters (pushes, pops) — reported by benchmarks
     /// to explain TA's heap-management costs.
     pushes: u64,
@@ -111,22 +88,14 @@ pub struct TopKHeap<T> {
 }
 
 impl<T: PartialEq> TopKHeap<T> {
-    /// A heap retaining the `k` best items (binary-heap policy).
+    /// A heap retaining the `k` best items.
     pub fn new(k: usize) -> TopKHeap<T> {
-        TopKHeap::with_policy(k, HeapPolicy::Binary)
-    }
-
-    /// A heap retaining the `k` best items under the given policy.
-    pub fn with_policy(k: usize, policy: HeapPolicy) -> TopKHeap<T> {
         // Capacity is only a hint; clamp it so `k = usize::MAX` (the "all
         // answers" top-k) neither overflows nor pre-allocates the world.
         let capacity = k.saturating_add(1).min(4096);
         TopKHeap {
             k,
-            heap: match policy {
-                HeapPolicy::Binary => HeapImpl::Binary(BinaryHeap::with_capacity(capacity)),
-                HeapPolicy::SortedVec => HeapImpl::Sorted(Vec::with_capacity(capacity)),
-            },
+            heap: BinaryHeap::with_capacity(capacity),
             pushes: 0,
             pops: 0,
         }
@@ -139,15 +108,12 @@ impl<T: PartialEq> TopKHeap<T> {
 
     /// Number of items currently held (≤ k).
     pub fn len(&self) -> usize {
-        match &self.heap {
-            HeapImpl::Binary(h) => h.len(),
-            HeapImpl::Sorted(v) => v.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether the heap holds no items.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Whether the heap holds k items.
@@ -155,18 +121,11 @@ impl<T: PartialEq> TopKHeap<T> {
         self.len() >= self.k
     }
 
-    fn min_score(&self) -> Option<f32> {
-        match &self.heap {
-            HeapImpl::Binary(h) => h.peek().map(|it| it.score),
-            HeapImpl::Sorted(v) => v.first().map(|it| it.score),
-        }
-    }
-
     /// The k-th best score so far — the bar an outside candidate must clear.
     /// `None` while fewer than k items are held (every candidate qualifies).
     pub fn threshold(&self) -> Option<f32> {
         if self.is_full() {
-            self.min_score()
+            self.heap.peek().map(|it| it.score)
         } else {
             None
         }
@@ -189,52 +148,29 @@ impl<T: PartialEq> TopKHeap<T> {
         }
         if !self.is_full() {
             self.pushes += 1;
-            clock.measure(|| self.push(HeapItem { score, item }));
+            clock.measure(|| self.heap.push(HeapItem { score, item }));
             return true;
         }
-        let bar = self.min_score().expect("non-empty");
+        let bar = self.heap.peek().expect("non-empty").score;
         if score <= bar {
             return false;
         }
         self.pushes += 1;
         self.pops += 1;
         clock.measure(|| {
-            self.pop_min();
-            self.push(HeapItem { score, item });
+            self.heap.pop();
+            self.heap.push(HeapItem { score, item });
         });
         true
     }
 
-    fn push(&mut self, item: HeapItem<T>) {
-        match &mut self.heap {
-            HeapImpl::Binary(h) => h.push(item),
-            HeapImpl::Sorted(v) => {
-                // Insert keeping ascending score order: O(k) shifting.
-                let pos = v.partition_point(|it| it.score < item.score);
-                v.insert(pos, item);
-            }
-        }
-    }
-
-    fn pop_min(&mut self) {
-        match &mut self.heap {
-            HeapImpl::Binary(h) => {
-                h.pop();
-            }
-            HeapImpl::Sorted(v) => {
-                if !v.is_empty() {
-                    v.remove(0); // O(k) shifting — deliberately naive
-                }
-            }
-        }
-    }
-
     /// Drains the heap into a descending-score list.
     pub fn into_sorted_desc(self) -> Vec<(f32, T)> {
-        let mut items: Vec<(f32, T)> = match self.heap {
-            HeapImpl::Binary(h) => h.into_iter().map(|it| (it.score, it.item)).collect(),
-            HeapImpl::Sorted(v) => v.into_iter().map(|it| (it.score, it.item)).collect(),
-        };
+        let mut items: Vec<(f32, T)> = self
+            .heap
+            .into_iter()
+            .map(|it| (it.score, it.item))
+            .collect();
         items.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         items
     }
@@ -382,39 +318,31 @@ mod non_finite_tests {
 mod policy_tests {
     use super::*;
 
+    /// The clocked (ITA) and the unclocked heap keep the same top-k as a
+    /// full sort of every score offered.
     #[test]
     fn both_policies_keep_the_same_top_k() {
         let scores: Vec<f32> = (0..5000)
             .map(|i| (i * 2654435761u64 % 9973) as f32)
             .collect();
-        let mut clock = HeapClock::disabled();
-        let mut binary = TopKHeap::with_policy(37, HeapPolicy::Binary);
-        let mut sorted = TopKHeap::with_policy(37, HeapPolicy::SortedVec);
-        for (i, &s) in scores.iter().enumerate() {
-            binary.offer(s, i, &mut clock);
-            sorted.offer(s, i, &mut clock);
+        let mut sorted = scores.clone();
+        sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+        let expected: Vec<u32> = sorted[..37].iter().map(|s| s.to_bits()).collect();
+        for mut clock in [HeapClock::disabled(), HeapClock::measuring()] {
+            let mut heap = TopKHeap::new(37);
+            for (i, &s) in scores.iter().enumerate() {
+                heap.offer(s, i, &mut clock);
+            }
+            assert_eq!(heap.threshold(), Some(sorted[36]));
+            // Same score multiset; which of several tied items is kept is
+            // not specified.
+            let got: Vec<u32> = heap
+                .into_sorted_desc()
+                .iter()
+                .map(|(s, _)| s.to_bits())
+                .collect();
+            assert_eq!(got, expected);
         }
-        assert_eq!(binary.threshold(), sorted.threshold());
-        let b = binary.into_sorted_desc();
-        let v = sorted.into_sorted_desc();
-        assert_eq!(b.len(), 37);
-        // Same score multiset; item ties may differ between policies.
-        let bs: Vec<u32> = b.iter().map(|(s, _)| s.to_bits()).collect();
-        let vs: Vec<u32> = v.iter().map(|(s, _)| s.to_bits()).collect();
-        assert_eq!(bs, vs);
-    }
-
-    #[test]
-    fn sorted_vec_policy_maintains_invariants() {
-        let mut clock = HeapClock::disabled();
-        let mut heap = TopKHeap::with_policy(3, HeapPolicy::SortedVec);
-        for s in [5.0, 1.0, 3.0, 4.0, 2.0, 6.0] {
-            heap.offer(s, s as i32, &mut clock);
-        }
-        assert_eq!(heap.threshold(), Some(4.0));
-        let out = heap.into_sorted_desc();
-        let scores: Vec<f32> = out.iter().map(|(s, _)| *s).collect();
-        assert_eq!(scores, vec![6.0, 5.0, 4.0]);
     }
 }
 

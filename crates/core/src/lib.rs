@@ -35,7 +35,7 @@ pub use trex_obs as obs;
 pub use answer::{rank, top_k, Answer};
 pub use engine::{EvalOptions, Explain, QueryEngine, QueryResult, Strategy, StrategyStats};
 pub use era::{era, era_with_deadline, EraMatch, EraStats};
-pub use heap::{HeapClock, HeapPolicy, TopKHeap};
+pub use heap::{HeapClock, TopKHeap};
 pub use ingest::{fold_once, FoldManager, FoldOptions, FoldReport};
 pub use materialize::{collect_lists, materialize, materialize_batch, ListKind, ScoredLists};
 pub use merge::{merge, merge_with_deadline, MergeStats};

@@ -19,7 +19,7 @@ use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::answer::{top_k, Answer};
-use crate::heap::{HeapClock, HeapPolicy, TopKHeap};
+use crate::heap::{HeapClock, TopKHeap};
 use crate::serve::deadline::{Deadline, CHECK_INTERVAL};
 use crate::{Result, TrexError};
 
@@ -37,8 +37,6 @@ pub struct TaOptions {
     pub measure_heap: bool,
     /// Sorted accesses between stopping-condition checks.
     pub check_interval: usize,
-    /// Top-k heap maintenance policy (heap-cost ablation).
-    pub heap_policy: HeapPolicy,
 }
 
 impl TaOptions {
@@ -48,7 +46,6 @@ impl TaOptions {
             k,
             measure_heap: true,
             check_interval: 64,
-            heap_policy: HeapPolicy::Binary,
         }
     }
 }
@@ -166,7 +163,7 @@ pub fn ta_with_deadline(
     // parent with a single child can share the whole span (differing in
     // sid). Both are distinct answers.
     let mut candidates: HashMap<(Sid, ElementRef), Candidate> = HashMap::new();
-    let mut topk: TopKHeap<(Sid, ElementRef)> = TopKHeap::with_policy(opts.k, opts.heap_policy);
+    let mut topk: TopKHeap<(Sid, ElementRef)> = TopKHeap::new(opts.k);
     let mut since_check = 0usize;
     let mut last_deadline_check = 0u64;
 
@@ -365,7 +362,6 @@ mod tests {
             k,
             measure_heap: false,
             check_interval: 2,
-            heap_policy: HeapPolicy::Binary,
         }
     }
 
@@ -450,7 +446,6 @@ mod tests {
                     k: 1,
                     measure_heap: false,
                     check_interval: 4,
-                    heap_policy: HeapPolicy::Binary,
                 },
             )
             .unwrap();

@@ -531,25 +531,6 @@ pub fn list_size<F: ListFamily>(entries: &[(ElementRef, f32)]) -> (u64, u64) {
     (stats.blocks, stats.bytes)
 }
 
-/// Bytes the *seed* one-record-per-entry layout would charge for an RPL list
-/// (20-byte key + varint length value per entry, after normalisation) — kept
-/// for the compression-ratio benchmark.
-pub fn seed_rpl_list_bytes(entries: &[(ElementRef, f32)]) -> u64 {
-    normalize_rpl(entries)
-        .iter()
-        .map(|&(_, e)| (20 + varint_len(u64::from(e.length))) as u64)
-        .sum()
-}
-
-/// Seed-layout bytes for an ERPL list (16-byte key + 4-byte score +
-/// varint length per entry); see [`seed_rpl_list_bytes`].
-pub fn seed_erpl_list_bytes(entries: &[(ElementRef, f32)]) -> u64 {
-    normalize_erpl(entries)
-        .iter()
-        .map(|&(e, _)| (16 + 4 + varint_len(u64::from(e.length))) as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,6 +688,96 @@ mod tests {
         assert!(decode_erpl_block(1, 1, &[0]).is_err());
     }
 
+    fn assert_corrupt(got: Result<Vec<RplEntry>>, what: &str) {
+        match got {
+            Err(StorageError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_scores_are_rejected_in_blocks() {
+        // ±∞ in the RPL header's first score (NaN is covered above). One
+        // entry, so the header's last score is the same field.
+        let rpl = encode_rpl_block(&rpl_entries(&[(el(0, 5, 2), 1.0)]));
+        let off = varint_len(1);
+        for bad in [f32::INFINITY, f32::NEG_INFINITY] {
+            let mut v = rpl.clone();
+            v[off..off + 4]
+                .copy_from_slice(&trex_storage::codec::inverted_score_bits(bad).to_be_bytes());
+            assert_corrupt(decode_rpl_block(1, 1, &v), &format!("RPL header {bad}"));
+        }
+
+        let list = vec![(el(0, 5, 2), 2.0), (el(0, 9, 3), 1.0)];
+        let erpl = encode_erpl_block(&normalize_erpl(&list));
+        let (_, entries_at) = peek_erpl_header(&erpl).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // The last entry's score: the block's final four bytes.
+            let mut v = erpl.clone();
+            let n = v.len();
+            v[n - 4..].copy_from_slice(&bad.to_le_bytes());
+            assert_corrupt(decode_erpl_block(1, 1, &v), &format!("ERPL entry {bad}"));
+            // The header's max score: the four bytes before the entries.
+            let mut v = erpl.clone();
+            v[entries_at - 4..entries_at].copy_from_slice(&bad.to_le_bytes());
+            assert_corrupt(decode_erpl_block(1, 1, &v), &format!("ERPL max {bad}"));
+        }
+    }
+
+    /// A one-entry RPL block for element `(0, end)` with `length` written
+    /// as a raw varint, so lengths the encoder cannot emit are reachable.
+    fn rpl_block_with_length(end: u32, length: u64) -> Vec<u8> {
+        let mut v = Vec::new();
+        write_varint(&mut v, 1); // count
+        v.extend_from_slice(&trex_storage::codec::inverted_score_bits(1.0).to_be_bytes());
+        write_varint(&mut v, 0); // last_inv − first_inv
+        write_varint(&mut v, 0); // doc
+        write_varint(&mut v, u64::from(end));
+        write_varint(&mut v, length);
+        v
+    }
+
+    /// The ERPL counterpart of [`rpl_block_with_length`].
+    fn erpl_block_with_length(end: u32, length: u64) -> Vec<u8> {
+        let mut v = Vec::new();
+        write_varint(&mut v, 1); // count
+        write_varint(&mut v, 0); // first_doc
+        write_varint(&mut v, u64::from(end)); // first_end
+        write_varint(&mut v, 0); // last_doc − first_doc
+        write_varint(&mut v, u64::from(end)); // last_end
+        v.extend_from_slice(&1.0f32.to_le_bytes()); // max_score
+        write_varint(&mut v, length);
+        v.extend_from_slice(&1.0f32.to_le_bytes()); // score
+        v
+    }
+
+    #[test]
+    fn invalid_spans_are_rejected_in_blocks() {
+        // The hand-built blocks decode when the span is valid…
+        for length in [1, 6] {
+            assert_eq!(
+                decode_rpl_block(1, 1, &rpl_block_with_length(5, length)).unwrap()[0].element,
+                el(0, 5, length as u32)
+            );
+            assert_eq!(
+                decode_erpl_block(1, 1, &erpl_block_with_length(5, length)).unwrap()[0].element,
+                el(0, 5, length as u32)
+            );
+        }
+        // …and are Corrupt for length 0, length > end + 1, and a length
+        // that does not fit u32 (rejected, not truncated).
+        for length in [0, 7, u64::from(u32::MAX) + 2] {
+            assert_corrupt(
+                decode_rpl_block(1, 1, &rpl_block_with_length(5, length)),
+                &format!("RPL length {length}"),
+            );
+            assert_corrupt(
+                decode_erpl_block(1, 1, &erpl_block_with_length(5, length)),
+                &format!("ERPL length {length}"),
+            );
+        }
+    }
+
     #[test]
     fn block_keys_order_by_term_sid_block() {
         let a = block_key(1, 2, 3);
@@ -729,8 +800,27 @@ mod tests {
             bytes,
             encoded.iter().map(|b| (12 + b.len()) as u64).sum::<u64>()
         );
-        assert!(bytes * 2 <= seed_rpl_list_bytes(&list), "rpl ratio");
+        assert!(bytes * 2 <= per_entry_rpl_bytes(&list), "rpl ratio");
         let (_, ebytes) = list_size::<Erpl>(&list);
-        assert!(ebytes * 2 <= seed_erpl_list_bytes(&list), "erpl ratio");
+        assert!(ebytes * 2 <= per_entry_erpl_bytes(&list), "erpl ratio");
+    }
+
+    /// Bytes the seed one-record-per-entry layout charged for an RPL list:
+    /// a 20-byte key (term, inverted score, sid, doc, end) plus a varint
+    /// length value per entry, after normalisation.
+    fn per_entry_rpl_bytes(entries: &[(ElementRef, f32)]) -> u64 {
+        normalize_rpl(entries)
+            .iter()
+            .map(|&(_, e)| (20 + varint_len(u64::from(e.length))) as u64)
+            .sum()
+    }
+
+    /// Seed-layout bytes for an ERPL list: a 16-byte key (term, sid, doc,
+    /// end) plus a 4-byte score and a varint length per entry.
+    fn per_entry_erpl_bytes(entries: &[(ElementRef, f32)]) -> u64 {
+        normalize_erpl(entries)
+            .iter()
+            .map(|&(e, _)| (16 + 4 + varint_len(u64::from(e.length))) as u64)
+            .sum()
     }
 }

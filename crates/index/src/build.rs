@@ -112,7 +112,6 @@ pub struct IndexBuilder<'s> {
     dictionary: Dictionary,
     /// One per partition store; single-store builds have exactly one.
     sinks: Vec<StoreSink<'s>>,
-    postings_chunk_size: usize,
     /// term → (last doc counted, df, cf) — global across all sinks.
     term_stats: HashMap<TermId, (u32, u32, u64)>,
     doc_count: u32,
@@ -157,7 +156,6 @@ impl<'s> IndexBuilder<'s> {
             summary: Summary::new(kind),
             dictionary: Dictionary::new(),
             sinks,
-            postings_chunk_size: crate::postings::DEFAULT_CHUNK_SIZE,
             term_stats: HashMap::new(),
             doc_count: 0,
             element_count: 0,
@@ -177,13 +175,8 @@ impl<'s> IndexBuilder<'s> {
         Ok(())
     }
 
-    /// Overrides the posting-chunk size (chunk-size ablation).
-    pub fn set_postings_chunk_size(&mut self, size: usize) {
-        self.postings_chunk_size = size;
-    }
-
     /// Checkpoints the store every `every` documents (None disables, the
-    /// default). With the WAL enabled, each checkpoint truncates the log,
+    /// default). Each checkpoint truncates the write-ahead log,
     /// bounding both log growth and the work a mid-build crash discards —
     /// everything up to the last checkpoint survives recovery.
     pub fn set_checkpoint_interval(&mut self, every: Option<u32>) {
@@ -253,8 +246,6 @@ impl<'s> IndexBuilder<'s> {
     /// posting lists, element rows and stored documents are partition-local.
     /// That shared catalog is the byte-identity invariant (module docs).
     pub fn finish(self) -> Result<()> {
-        let chunk_size = self.postings_chunk_size;
-
         // Global catalog state, encoded once and written to every store.
         let stats = self.stats();
         let dictionary_bytes = self.dictionary.encode();
@@ -272,7 +263,7 @@ impl<'s> IndexBuilder<'s> {
             let mut terms: Vec<(TermId, Vec<Position>)> = sink.postings.into_iter().collect();
             terms.sort_unstable_by_key(|(t, _)| *t);
             let table = sink.store.create_table(POSTINGS_TABLE)?;
-            let mut postings = PostingsTable::with_chunk_size(table, chunk_size);
+            let mut postings = PostingsTable::new(table);
             for (term, positions) in terms {
                 postings.append(term, &positions)?;
             }

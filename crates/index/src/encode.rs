@@ -1,23 +1,22 @@
-//! Key/value encodings of the four TReX tables plus the core identifier
-//! types ([`Position`], [`ElementRef`]).
+//! Key/value encodings of the `Elements` and `PostingLists` tables, the
+//! core identifier types ([`Position`], [`ElementRef`]) and the decoded
+//! redundant-list entry ([`RplEntry`]).
 //!
 //! Table schemas (paper §2.2), with primary keys underlined there:
 //!
 //! ```text
 //! Elements(SID, docid, endpos, length)
 //! PostingLists(token, docid, offset, postingdataentry)
-//! RPLs(token, ir, SID, docid, endpos, rpldataentry)
-//! ERPLs(token, SID, docid, endpos, ir, erpldataentry)
 //! ```
 //!
+//! The paper's `RPLs` and `ERPLs` tables hold one record per entry. TReX
+//! stores each `(term, sid)` list as delta-compressed blocks instead (see
+//! [`crate::blocks`]), which decode to [`RplEntry`] values.
+//!
 //! Keys are composed with big-endian fields so that memcmp order equals the
-//! intended scan order; RPL keys embed the order-inverted score bits so an
-//! ascending scan enumerates entries in *descending* relevance.
+//! intended scan order.
 
-use trex_storage::codec::{
-    get_u32, inverted_score_bits, put_u32, read_varint, read_varint_u32, score_from_inverted_bits,
-    write_varint,
-};
+use trex_storage::codec::{get_u32, put_u32, read_varint, write_varint};
 use trex_storage::{Result, StorageError};
 use trex_summary::Sid;
 use trex_text::TermId;
@@ -248,22 +247,10 @@ pub fn decode_postings_value(first: Position, value: &[u8]) -> Result<Vec<Positi
 }
 
 // ---------------------------------------------------------------------------
-// RPLs table: key (term, inv_score, sid, doc, end) → varint length
+// RPL/ERPL entries
 // ---------------------------------------------------------------------------
 
-/// Encodes an `RPLs` key. The score is embedded order-inverted so ascending
-/// scans run in descending relevance.
-pub fn rpl_key(term: TermId, score: f32, sid: Sid, element: ElementRef) -> Vec<u8> {
-    let mut k = Vec::with_capacity(20);
-    put_u32(&mut k, term);
-    put_u32(&mut k, inverted_score_bits(score));
-    put_u32(&mut k, sid);
-    put_u32(&mut k, element.doc);
-    put_u32(&mut k, element.end);
-    k
-}
-
-/// An entry decoded from the `RPLs` table.
+/// An entry decoded from an RPL or ERPL block.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RplEntry {
     /// The term this entry belongs to.
@@ -274,72 +261,6 @@ pub struct RplEntry {
     pub sid: Sid,
     /// The element.
     pub element: ElementRef,
-}
-
-/// Decodes an `RPLs` entry from its key and value.
-pub fn decode_rpl(key: &[u8], value: &[u8]) -> Result<RplEntry> {
-    let term = get_u32(key, 0)?;
-    let score = score_from_inverted_bits(get_u32(key, 4)?);
-    if !score.is_finite() {
-        // Writers only ever encode finite scores (`put_list` asserts it), so
-        // a NaN/∞ here is a corrupt key — surface it instead of letting the
-        // poison value reach TA's comparison-based candidate bookkeeping.
-        return Err(StorageError::Corrupt("non-finite RPL score".into()));
-    }
-    let sid = get_u32(key, 8)?;
-    let doc = get_u32(key, 12)?;
-    let end = get_u32(key, 16)?;
-    let (length, _) = read_varint_u32(value)?;
-    Ok(RplEntry {
-        term,
-        score,
-        sid,
-        element: validate_span(ElementRef { doc, end, length })?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// ERPLs table: key (term, sid, doc, end) → score + varint length
-// ---------------------------------------------------------------------------
-
-/// Encodes an `ERPLs` key: position order within (term, sid).
-pub fn erpl_key(term: TermId, sid: Sid, element: ElementRef) -> Vec<u8> {
-    let mut k = Vec::with_capacity(16);
-    put_u32(&mut k, term);
-    put_u32(&mut k, sid);
-    put_u32(&mut k, element.doc);
-    put_u32(&mut k, element.end);
-    k
-}
-
-/// Encodes an `ERPLs` value.
-pub fn erpl_value(score: f32, length: u32) -> Vec<u8> {
-    let mut v = Vec::with_capacity(9);
-    v.extend_from_slice(&score.to_le_bytes());
-    write_varint(&mut v, length as u64);
-    v
-}
-
-/// Decodes an `ERPLs` entry (same shape as an RPL entry).
-pub fn decode_erpl(key: &[u8], value: &[u8]) -> Result<RplEntry> {
-    let term = get_u32(key, 0)?;
-    let sid = get_u32(key, 4)?;
-    let doc = get_u32(key, 8)?;
-    let end = get_u32(key, 12)?;
-    if value.len() < 4 {
-        return Err(StorageError::Corrupt("short ERPL value".into()));
-    }
-    let score = f32::from_le_bytes(value[..4].try_into().unwrap());
-    if !score.is_finite() {
-        return Err(StorageError::Corrupt("non-finite ERPL score".into()));
-    }
-    let (length, _) = read_varint_u32(&value[4..])?;
-    Ok(RplEntry {
-        term,
-        score,
-        sid,
-        element: validate_span(ElementRef { doc, end, length })?,
-    })
 }
 
 #[cfg(test)]
@@ -426,30 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_spans_are_rejected_at_decode() {
-        let e = ElementRef {
-            doc: 0,
-            end: 5,
-            length: 2,
-        };
-        // length == 0 and length - 1 > end are both corrupt.
-        for bad_len in [0u32, 7] {
-            assert!(
-                decode_rpl(&rpl_key(4, 1.0, 1, e), &elements_value(bad_len)).is_err(),
-                "RPL length {bad_len} with end 5 must be Corrupt"
-            );
-            assert!(
-                decode_erpl(&erpl_key(4, 1, e), &erpl_value(1.0, bad_len)).is_err(),
-                "ERPL length {bad_len} with end 5 must be Corrupt"
-            );
-        }
-        // A length that does not fit u32 is corrupt, not truncated.
-        let mut v = Vec::new();
-        trex_storage::codec::write_varint(&mut v, u64::from(u32::MAX) + 2);
-        assert!(decode_rpl(&rpl_key(4, 1.0, 1, e), &v).is_err());
-    }
-
-    #[test]
     fn elements_key_round_trip_and_order() {
         let k1 = elements_key(7, 2, 30);
         let k2 = elements_key(7, 2, 31);
@@ -491,86 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn rpl_keys_scan_in_descending_score_order() {
-        let e = ElementRef {
-            doc: 0,
-            end: 5,
-            length: 2,
-        };
-        let high = rpl_key(4, 9.5, 1, e);
-        let mid = rpl_key(4, 1.25, 1, e);
-        let low = rpl_key(4, 0.01, 1, e);
-        assert!(
-            high < mid && mid < low,
-            "ascending key order = descending score"
-        );
-        let entry = decode_rpl(&high, &elements_value(2)).unwrap();
-        assert_eq!(entry.term, 4);
-        assert_eq!(entry.score, 9.5);
-        assert_eq!(entry.sid, 1);
-        assert_eq!(entry.element, e);
-    }
-
-    #[test]
-    fn erpl_round_trip_and_position_order() {
-        let e1 = ElementRef {
-            doc: 1,
-            end: 10,
-            length: 3,
-        };
-        let e2 = ElementRef {
-            doc: 1,
-            end: 20,
-            length: 5,
-        };
-        let k1 = erpl_key(9, 2, e1);
-        let k2 = erpl_key(9, 2, e2);
-        assert!(k1 < k2);
-        let entry = decode_erpl(&k1, &erpl_value(3.5, 3)).unwrap();
-        assert_eq!(entry.score, 3.5);
-        assert_eq!(entry.element, e1);
-        assert_eq!(entry.sid, 2);
-    }
-
-    #[test]
-    fn non_finite_scores_are_rejected_at_decode() {
-        let e = ElementRef {
-            doc: 0,
-            end: 5,
-            length: 2,
-        };
-        // A hand-corrupted score field: the key encoder itself maps NaN to
-        // bits that decode back to NaN, so a flipped bit on disk can too.
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let key = rpl_key(4, bad, 1, e);
-            assert!(
-                decode_rpl(&key, &elements_value(2)).is_err(),
-                "RPL score {bad} must decode as Corrupt"
-            );
-            assert!(
-                decode_erpl(&erpl_key(4, 1, e), &erpl_value(bad, 2)).is_err(),
-                "ERPL score {bad} must decode as Corrupt"
-            );
-        }
-        // Finite scores still round-trip.
-        assert!(decode_rpl(&rpl_key(4, 1.5, 1, e), &elements_value(2)).is_ok());
-    }
-
-    #[test]
     fn corrupt_values_are_rejected() {
         assert!(decode_elements_key(&[0, 1]).is_err());
-        assert!(decode_erpl(
-            &erpl_key(
-                0,
-                0,
-                ElementRef {
-                    doc: 0,
-                    end: 0,
-                    length: 1
-                }
-            ),
-            &[1, 2]
-        )
-        .is_err());
+        assert!(decode_postings_key(&[0; 11]).is_err());
+        // A truncated varint.
+        assert!(decode_elements_value(&[0x80]).is_err());
     }
 }

@@ -15,31 +15,40 @@ use crate::IndexError;
 /// Name of the table inside the store.
 pub const POSTINGS_TABLE: &str = "postings";
 
-/// Default number of positions per stored chunk. "Since the posting list
-/// might be too long for storing it in a single tuple, it is divided and
-/// stored in several tuples whenever needed" (§2.2).
-pub const DEFAULT_CHUNK_SIZE: usize = 256;
+/// Worst-case encoded bytes per position: two 5-byte varints.
+const WORST_PER_POSITION: usize = 10;
+
+/// Number of positions per stored chunk: as many as fit the storage value
+/// limit at the worst-case encoding. "Since the posting list might be too
+/// long for storing it in a single tuple, it is divided and stored in
+/// several tuples whenever needed" (§2.2).
+pub const CHUNK_SIZE: usize = trex_storage::MAX_VALUE_LEN / WORST_PER_POSITION;
 
 /// Write/read access to the `PostingLists` table.
 pub struct PostingsTable {
     table: Table,
+    /// Positions per chunk: [`CHUNK_SIZE`] outside unit tests.
     chunk_size: usize,
     obs: Arc<IndexCounters>,
 }
 
 impl PostingsTable {
-    /// Wraps an open storage table with the default chunk size.
+    /// Wraps an open storage table.
     pub fn new(table: Table) -> PostingsTable {
-        PostingsTable::with_chunk_size(table, DEFAULT_CHUNK_SIZE)
-    }
-
-    /// Wraps with an explicit chunk size (exposed for the chunk-size
-    /// ablation benchmark).
-    pub fn with_chunk_size(table: Table, chunk_size: usize) -> PostingsTable {
         PostingsTable {
             table,
-            chunk_size: chunk_size.max(2),
+            chunk_size: CHUNK_SIZE,
             obs: Arc::new(IndexCounters::new()),
+        }
+    }
+
+    /// Wraps with a small chunk size, so unit tests reach multi-chunk
+    /// lists with a handful of positions.
+    #[cfg(test)]
+    fn with_chunk_size(table: Table, chunk_size: usize) -> PostingsTable {
+        PostingsTable {
+            chunk_size,
+            ..PostingsTable::new(table)
         }
     }
 
@@ -125,8 +134,9 @@ impl PostingsTable {
         })
     }
 
-    /// Number of chunk tuples stored for `term` (ablation statistics).
-    pub fn chunk_count(&self, term: TermId) -> Result<usize> {
+    /// Number of chunk tuples stored for `term`.
+    #[cfg(test)]
+    fn chunk_count(&self, term: TermId) -> Result<usize> {
         let mut cursor = self.table.seek(&postings_key(term, Position::MIN))?;
         let mut n = 0;
         while let Some((key, _)) = cursor.next_entry()? {
@@ -142,23 +152,17 @@ impl PostingsTable {
 
 /// Encodes one term's posting list into its chunked (key, value) tuples,
 /// appending the `m-pos` sentinel. `positions` must be strictly ascending.
-/// Chunks are bounded both by `chunk_size` and by the storage value limit;
-/// every chunk but the last holds exactly that many positions.
+/// Every chunk but the last holds exactly `chunk_size` positions.
 fn chunk_entries(
     term: TermId,
     positions: impl IntoIterator<Item = Position>,
     chunk_size: usize,
 ) -> Vec<(Vec<u8>, Vec<u8>)> {
-    // Worst-case encoded bytes per position: two 5-byte varints.
-    const WORST_PER_POSITION: usize = 10;
-    let byte_cap = (trex_storage::MAX_VALUE_LEN / WORST_PER_POSITION).max(2);
-    let effective = chunk_size.max(2).min(byte_cap);
-
     let mut out = Vec::new();
-    let mut chunk: Vec<Position> = Vec::with_capacity(effective);
+    let mut chunk: Vec<Position> = Vec::with_capacity(chunk_size);
     for p in positions.into_iter().chain(std::iter::once(Position::MAX)) {
         chunk.push(p);
-        if chunk.len() >= effective {
+        if chunk.len() >= chunk_size {
             out.push((postings_key(term, chunk[0]), postings_value(&chunk)));
             chunk.clear();
         }
@@ -253,6 +257,7 @@ mod tests {
         drop(t);
         drop(store);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(trex_storage::wal_path(&path)).ok();
         r
     }
 
@@ -287,6 +292,32 @@ mod tests {
             }
             assert!(it.next_position().unwrap().is_max());
         });
+    }
+
+    #[test]
+    fn shipped_chunk_size_fills_every_chunk_but_the_last() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("trex-postings-shipped-{}", std::process::id()));
+        let store = Store::create(&path, 64).unwrap();
+        let mut t = PostingsTable::new(store.create_table(POSTINGS_TABLE).unwrap());
+        // Far-apart documents and offsets above 2^28 make every position
+        // nearly worst-case in bytes, so full chunks must still fit a value.
+        let positions: Vec<Position> = (0..2 * CHUNK_SIZE as u32 + 1)
+            .map(|i| pos(i * 10_000_000, u32::MAX - 1 - i))
+            .collect();
+        t.append(1, &positions).unwrap();
+        let chunks: Vec<Vec<Position>> = records(&t)
+            .iter()
+            .map(|(key, value)| decode_chunk(key, value).unwrap())
+            .collect();
+        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        // 2·CHUNK_SIZE + 1 positions plus m-pos.
+        assert_eq!(sizes, vec![CHUNK_SIZE, CHUNK_SIZE, 2]);
+        assert_eq!(chunks[2], vec![positions[2 * CHUNK_SIZE], Position::MAX]);
+        drop(t);
+        drop(store);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(trex_storage::wal_path(&path)).ok();
     }
 
     #[test]

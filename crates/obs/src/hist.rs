@@ -345,8 +345,7 @@ histogram_group! {
     histograms StorageTimers {
         /// One pager `read_page` (WAL-map consult + data-file read).
         page_read,
-        /// One pager `write_page` (WAL append in WAL mode, in-place write
-        /// otherwise).
+        /// One pager `write_page` (a WAL image append).
         page_write,
         /// One data-file fsync (`sync_data_file`).
         fsync,

@@ -435,6 +435,11 @@ mod tests {
         (Arc::new(BufferPool::new(pager, 128)), p)
     }
 
+    fn cleanup(path: &std::path::Path) {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(crate::wal::wal_path(path)).ok();
+    }
+
     /// A tree holding `keys` inserted in the given order, `value(i)` each.
     fn insert_all(
         pool: &Arc<BufferPool>,
@@ -466,7 +471,7 @@ mod tests {
                 pages.abs_diff(bulk_pages) <= bulk_pages.div_ceil(100),
                 "{name}: {pages} pages, bulk load gave {bulk_pages}"
             );
-            std::fs::remove_file(&path).ok();
+            cleanup(&path);
         }
     }
 
@@ -491,7 +496,7 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 50_000);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -507,7 +512,7 @@ mod tests {
             let want: &[u8] = if i % 2 == 0 { b"even" } else { b"odd" };
             assert_eq!(tree.get(&i.to_be_bytes()).unwrap().unwrap(), want);
         }
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -520,6 +525,6 @@ mod tests {
                 (i % 700) as usize
             );
         }
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 }

@@ -312,10 +312,8 @@ impl BufferPool {
     /// Writes back all dirty pages and checkpoints the pager. Visits shards
     /// one at a time (shard → pager lock order, never two shards at once).
     ///
-    /// With a WAL-backed pager the write-backs are log appends and
-    /// [`Pager::checkpoint`] then makes them durable atomically
-    /// (log-before-data); without a WAL this degrades to write-in-place
-    /// plus a plain fsync.
+    /// The write-backs are WAL appends, and [`Pager::checkpoint`] then
+    /// makes them durable atomically (log-before-data).
     pub fn flush(&self) -> Result<()> {
         self.flush_consuming_ingests(0)
     }
@@ -340,8 +338,8 @@ impl BufferPool {
     }
 
     /// Logs one ingested document to the WAL (fsynced, individually
-    /// durable); `false` when the pager runs without a WAL.
-    pub fn log_ingest(&self, doc_id: u32, xml: &[u8]) -> Result<bool> {
+    /// durable).
+    pub fn log_ingest(&self, doc_id: u32, xml: &[u8]) -> Result<()> {
         self.pager.lock().log_ingest(doc_id, xml)
     }
 
@@ -408,7 +406,7 @@ impl BufferPool {
     }
 
     /// What WAL recovery did when the underlying pager was opened (None
-    /// after a clean shutdown or for WAL-less pagers).
+    /// after a clean shutdown).
     pub fn recovery_report(&self) -> Option<crate::wal::RecoveryReport> {
         self.pager.lock().recovery_report().cloned()
     }
@@ -426,6 +424,11 @@ mod tests {
         (BufferPool::new(pager, cap), p)
     }
 
+    fn cleanup(path: &std::path::Path) {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(crate::wal::wal_path(path)).ok();
+    }
+
     #[test]
     fn fetch_caches_and_hits() {
         let (pool, path) = pool("hit", 16);
@@ -437,7 +440,7 @@ mod tests {
         let _p2 = pool.fetch(id).unwrap();
         let (hits, _) = pool.cache_counters();
         assert!(hits >= 2);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -459,7 +462,7 @@ mod tests {
         // Early pages were evicted; refetch and confirm contents survived.
         let first = pool.fetch(ids[0]).unwrap();
         assert_eq!(first.buf.read().next_page(), 1000);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -476,7 +479,7 @@ mod tests {
         // The pinned handle must still observe its image in cache.
         let again = pool.fetch(id).unwrap();
         assert!(Arc::ptr_eq(&pinned, &again));
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -508,7 +511,7 @@ mod tests {
             misses_mid + 1,
             "ids[1] should have been evicted"
         );
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -525,11 +528,11 @@ mod tests {
         pool.flush().unwrap();
         // Bypass the cache: reopen the file.
         drop(pool);
-        let mut pager = Pager::open(&path).unwrap();
+        let mut pager = Pager::open(&path, None).unwrap();
         let mut buf = PageBuf::zeroed();
         pager.read_page(id, &mut buf).unwrap();
         assert_eq!(buf.right_child(), 424242);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -543,7 +546,7 @@ mod tests {
         assert_eq!(big.shard_count(), 16);
         assert_eq!(big.capacity(), 4096);
         for p in [p1, p2, p3] {
-            std::fs::remove_file(&p).ok();
+            cleanup(&p);
         }
     }
 
@@ -557,7 +560,7 @@ mod tests {
             "capacity {} < requested 100",
             pool.capacity()
         );
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -580,7 +583,7 @@ mod tests {
         assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), misses);
         assert_eq!(shards.iter().map(|s| s.evictions).sum::<u64>(), evictions);
         assert!(evictions > 0, "churn must evict");
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -617,11 +620,11 @@ mod tests {
         // reaches disk.
         pool.flush().unwrap();
         drop(pool);
-        let mut pager = Pager::open(&path).unwrap();
+        let mut pager = Pager::open(&path, None).unwrap();
         let mut buf = PageBuf::zeroed();
         pager.read_page(ids[1], &mut buf).unwrap();
         assert_eq!(buf.next_page(), 7001);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -636,9 +639,8 @@ mod tests {
             p.mark_dirty();
             ids.push(id);
         }
-        // Seed the free list so the failing allocate below pops it instead
-        // of extending the file (extending writes a page, which would eat
-        // the injected failure before eviction even runs).
+        // Seed the free list so the failing allocate below pops a page that
+        // must go back to the free list, instead of extending the store.
         let (scratch, p) = pool.allocate().unwrap();
         drop(p);
         pool.free(scratch).unwrap();
@@ -660,7 +662,7 @@ mod tests {
         let (id, _p) = pool.allocate().unwrap();
         assert_eq!(id, scratch);
         assert_eq!(pool.page_count(), pages_before);
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -683,6 +685,6 @@ mod tests {
         });
         let (hits, misses) = pool.cache_counters();
         assert_eq!(hits + misses, 8 * 101, "every fetch is a hit or a miss");
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 }

@@ -6,17 +6,12 @@
 //! `next_page` header field; the head of the chain lives in the meta page and
 //! is handed to the pager at open time.
 //!
-//! # Durability modes
+//! # Durability
 //!
-//! A pager opened through [`Pager::create`] / [`Pager::open`] writes pages
-//! in place and is only as durable as the last [`Pager::sync`] — the
-//! pre-WAL behaviour, kept for unit tests and throwaway stores.
-//!
-//! A pager opened through [`Pager::create_with_wal`] /
-//! [`Pager::open_with_wal`] attaches a write-ahead log (see [`crate::wal`]):
-//! page writes become log appends, reads consult the log's page table
-//! first, and [`Pager::checkpoint`] atomically folds the logged images into
-//! the data file. [`Pager::open_with_wal`] runs redo recovery before the
+//! Every pager runs with a write-ahead log beside its data file (see
+//! [`crate::wal`]): page writes become log appends, reads consult the log's
+//! page table first, and [`Pager::checkpoint`] atomically folds the logged
+//! images into the data file. [`Pager::open`] runs redo recovery before the
 //! first read, so a store killed at *any* write or fsync boundary reopens
 //! in exactly its last checkpointed state.
 
@@ -55,8 +50,8 @@ pub struct Pager {
     inject_write_failures: u32,
     /// Crash injection shared with the WAL (see [`CrashPoint`]).
     crash: CrashState,
-    /// The write-ahead log, when this store runs in durable mode.
-    wal: Option<Wal>,
+    /// The write-ahead log every page write goes through.
+    wal: Wal,
     /// What recovery did at open, when it had anything to do.
     recovery: Option<RecoveryReport>,
 }
@@ -64,29 +59,16 @@ pub struct Pager {
 impl Pager {
     /// Creates a new store file (truncating any existing one) with an
     /// initialised meta page, synced to stable storage so a crash right
-    /// after creation cannot leave a zero-length store behind.
+    /// after creation cannot leave a zero-length store behind, and creates
+    /// (truncating) the write-ahead log beside it.
     pub fn create(path: &Path) -> Result<Pager> {
-        Self::create_inner(path, false)
-    }
-
-    /// Like [`Pager::create`], but also creates (truncating) the
-    /// write-ahead log beside the store file.
-    pub fn create_with_wal(path: &Path) -> Result<Pager> {
-        Self::create_inner(path, true)
-    }
-
-    fn create_inner(path: &Path, with_wal: bool) -> Result<Pager> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        let wal = if with_wal {
-            Some(Wal::create(&crate::wal::wal_path(path))?)
-        } else {
-            None
-        };
+        let wal = Wal::create(&crate::wal::wal_path(path))?;
         let mut pager = Pager {
             file,
             page_count: 1,
@@ -101,8 +83,8 @@ impl Pager {
         };
         let mut meta = PageBuf::zeroed();
         meta.init(PageType::Meta);
-        // The meta page goes straight to the data file even in WAL mode:
-        // a store is born as its own first checkpoint.
+        // The meta page goes straight to the data file: a store is born as
+        // its own first checkpoint.
         Self::write_data_page(
             &mut pager.file,
             &mut pager.crash,
@@ -116,43 +98,25 @@ impl Pager {
         Ok(pager)
     }
 
-    /// Opens an existing store file without a WAL. `free_head` is read from
-    /// the meta page by the store and installed via [`Pager::set_free_head`].
-    /// A file whose length is not a whole number of pages has a torn tail
-    /// page (a crashed partial write) and is rejected as corrupt.
-    pub fn open(path: &Path) -> Result<Pager> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Self::check_tail(len)?;
-        let page_count = ((len / PAGE_SIZE as u64) as u32).max(1);
-        Ok(Pager {
-            file,
-            page_count,
-            synced_page_count: page_count,
-            free_head: NO_PAGE,
-            obs: Arc::new(StorageCounters::new()),
-            timers: Arc::new(StorageTimers::new()),
-            inject_write_failures: 0,
-            crash: CrashState::default(),
-            wal: None,
-            recovery: None,
-        })
-    }
-
     /// Opens an existing store file with its write-ahead log, running redo
     /// recovery first: a log sealed by a commit record is replayed into the
     /// data file (completing the interrupted checkpoint and repairing any
     /// torn data pages); anything else is discarded, leaving the data file
     /// as the previous checkpoint. `inject_crash` arms the crash switch
     /// *before* recovery runs, so tests can kill recovery itself.
-    pub fn open_with_wal(path: &Path, inject_crash: Option<(CrashPoint, u32)>) -> Result<Pager> {
+    ///
+    /// `free_head` is read from the meta page by the store and installed
+    /// via [`Pager::set_free_head`]. A file whose length is not a whole
+    /// number of pages after recovery has a torn tail page that no sealed
+    /// log covers, and is rejected as corrupt.
+    pub fn open(path: &Path, inject_crash: Option<(CrashPoint, u32)>) -> Result<Pager> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut crash = CrashState::default();
         if let Some((point, nth)) = inject_crash {
             crash.arm(point, nth);
         }
         let obs = Arc::new(StorageCounters::new());
-        let (mut wal, scan) = Wal::open(&crate::wal::wal_path(path))?;
+        let (wal, scan) = Wal::open(&crate::wal::wal_path(path))?;
 
         let mut pager = Pager {
             file,
@@ -163,7 +127,7 @@ impl Pager {
             timers: Arc::new(StorageTimers::new()),
             inject_write_failures: 0,
             crash,
-            wal: None,
+            wal,
             recovery: None,
         };
 
@@ -171,8 +135,8 @@ impl Pager {
         if scan.replay {
             // Roll forward: write every committed image in place.
             let mut buf = PageBuf::zeroed();
-            for id in wal.entries() {
-                wal.load(id, &mut buf)?;
+            for id in pager.wal.entries() {
+                pager.wal.load(id, &mut buf)?;
                 Self::write_data_page(
                     &mut pager.file,
                     &mut pager.crash,
@@ -191,7 +155,7 @@ impl Pager {
         // Pending ingest records survive the reset: the scan already dropped
         // any the replayed commit consumed, and the rest are carried into
         // the fresh log (they are durable until a fold consumes them).
-        wal.reset(&mut pager.crash, 0)?;
+        pager.wal.reset(&mut pager.crash, 0)?;
 
         let len = pager.file.metadata()?.len();
         Self::check_tail(len)?;
@@ -205,7 +169,6 @@ impl Pager {
                 completed_checkpoint: scan.replay,
             });
         }
-        pager.wal = Some(wal);
         Ok(pager)
     }
 
@@ -234,13 +197,8 @@ impl Pager {
         self.free_head = head;
     }
 
-    /// Whether this pager runs with a write-ahead log.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// What recovery did when this pager was opened (None after a clean
-    /// shutdown, or for WAL-less pagers).
+    /// shutdown).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
@@ -250,16 +208,11 @@ impl Pager {
     pub fn read_page(&mut self, id: PageId, buf: &mut PageBuf) -> Result<()> {
         self.crash.ensure_alive()?;
         let sw = self.timers.start();
-        if let Some(wal) = &mut self.wal {
-            if wal.read_page(id, buf)? {
-                self.obs.page_reads.incr();
-                self.timers.page_read.observe(&sw);
-                return Ok(());
-            }
+        if !self.wal.read_page(id, buf)? {
+            self.file
+                .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
+            self.file.read_exact(buf.bytes_mut().as_mut_slice())?;
         }
-        self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.file.read_exact(buf.bytes_mut().as_mut_slice())?;
         self.obs.page_reads.incr();
         self.timers.page_read.observe(&sw);
         Ok(())
@@ -279,8 +232,7 @@ impl Pager {
         self.crash.arm(point, nth);
     }
 
-    /// Writes `buf` to page `id`: an append to the WAL in durable mode, an
-    /// in-place data write otherwise (log-before-data — with a WAL attached
+    /// Writes `buf` to page `id` as an append to the WAL (log-before-data:
     /// the data file is only touched by [`Pager::checkpoint`] and recovery).
     pub fn write_page(&mut self, id: PageId, buf: &PageBuf) -> Result<()> {
         if self.inject_write_failures > 0 {
@@ -289,19 +241,8 @@ impl Pager {
         }
         self.crash.ensure_alive()?;
         let sw = self.timers.start();
-        match &mut self.wal {
-            Some(wal) => {
-                wal.append_image(id, buf, &mut self.crash, &self.obs)?;
-                self.timers.wal_append.observe(&sw);
-            }
-            None => Self::write_data_page(
-                &mut self.file,
-                &mut self.crash,
-                &mut self.inject_write_failures,
-                id,
-                buf,
-            )?,
-        }
+        self.wal.append_image(id, buf, &mut self.crash, &self.obs)?;
+        self.timers.wal_append.observe(&sw);
         self.obs.page_writes.incr();
         self.timers.page_write.observe(&sw);
         Ok(())
@@ -347,8 +288,9 @@ impl Pager {
     }
 
     /// Allocates a page: pops the free list if possible, otherwise extends
-    /// the file. The returned page's contents are unspecified; callers must
-    /// `init` it.
+    /// the store by one page — a 17-byte `Alloc` record in the WAL; the
+    /// data file grows only when the image set is checkpointed. The
+    /// returned page's contents are unspecified; callers must `init` it.
     pub fn allocate(&mut self) -> Result<PageId> {
         self.crash.ensure_alive()?;
         if self.free_head != NO_PAGE {
@@ -359,20 +301,9 @@ impl Pager {
             return Ok(id);
         }
         let id = self.page_count;
-        match &mut self.wal {
-            // In durable mode a fresh page is a 17-byte `Alloc` record; the
-            // data file grows only when the image set is checkpointed.
-            Some(wal) => {
-                let sw = self.timers.start();
-                wal.append_alloc(id, &mut self.crash, &self.obs)?;
-                self.timers.wal_append.observe(&sw);
-            }
-            // In-place mode: extend the file so subsequent reads succeed.
-            None => {
-                let buf = PageBuf::zeroed();
-                self.write_page(id, &buf)?;
-            }
-        }
+        let sw = self.timers.start();
+        self.wal.append_alloc(id, &mut self.crash, &self.obs)?;
+        self.timers.wal_append.observe(&sw);
         self.page_count += 1;
         Ok(id)
     }
@@ -388,11 +319,11 @@ impl Pager {
         Ok(())
     }
 
-    /// Flushes OS buffers to stable storage. Uses `sync_all` whenever the
-    /// file has grown since the last full sync (a `sync_data` would leave
-    /// the new length — and with it the tail pages — volatile).
-    pub fn sync(&mut self) -> Result<()> {
-        self.crash.ensure_alive()?;
+    /// Flushes the data file's OS buffers to stable storage. Uses
+    /// `sync_all` whenever the file has grown since the last full sync (a
+    /// `sync_data` would leave the new length — and with it the tail pages
+    /// — volatile).
+    fn sync(&mut self) -> Result<()> {
         let grew = self.page_count > self.synced_page_count;
         let sw = self.timers.start();
         Self::sync_data_file(&mut self.file, &mut self.crash, grew)?;
@@ -401,8 +332,8 @@ impl Pager {
         Ok(())
     }
 
-    /// Makes everything written so far durable. Without a WAL this is
-    /// [`Pager::sync`]. With one, it runs the checkpoint protocol:
+    /// Makes everything written so far durable by running the checkpoint
+    /// protocol:
     ///
     /// 1. seal the logged image set with a commit record, **fsync the WAL**;
     /// 2. write every logged image in place into the data file;
@@ -423,23 +354,15 @@ impl Pager {
     /// by the index layer's fold, whose page writes this checkpoint seals.
     pub fn checkpoint_consuming(&mut self, ingest_watermark: u64) -> Result<()> {
         self.crash.ensure_alive()?;
-        let Some(wal) = &mut self.wal else {
-            return self.sync();
-        };
-        if wal.entries().is_empty() && ingest_watermark == 0 {
+        if self.wal.entries().is_empty() && ingest_watermark == 0 {
             // Nothing logged since the last checkpoint; just be durable.
-            let grew = self.page_count > self.synced_page_count;
-            let sw = self.timers.start();
-            Self::sync_data_file(&mut self.file, &mut self.crash, grew)?;
-            self.timers.fsync.observe(&sw);
-            self.synced_page_count = self.page_count;
-            return Ok(());
+            return self.sync();
         }
         let sw_ckpt = self.timers.start();
-        wal.commit(&mut self.crash, ingest_watermark)?;
+        self.wal.commit(&mut self.crash, ingest_watermark)?;
         let mut buf = PageBuf::zeroed();
-        for id in wal.entries() {
-            wal.load(id, &mut buf)?;
+        for id in self.wal.entries() {
+            self.wal.load(id, &mut buf)?;
             Self::write_data_page(
                 &mut self.file,
                 &mut self.crash,
@@ -448,39 +371,28 @@ impl Pager {
                 &buf,
             )?;
         }
-        let grew = self.page_count > self.synced_page_count;
-        let sw = self.timers.start();
-        Self::sync_data_file(&mut self.file, &mut self.crash, grew)?;
-        self.timers.fsync.observe(&sw);
-        self.synced_page_count = self.page_count;
-        wal.reset(&mut self.crash, ingest_watermark)?;
+        self.sync()?;
+        self.wal.reset(&mut self.crash, ingest_watermark)?;
         self.obs.checkpoints.incr();
         self.timers.checkpoint.observe(&sw_ckpt);
         Ok(())
     }
 
     /// Logs one ingested document to the WAL, fsynced and individually
-    /// durable. Returns `false` (a no-op) when this pager runs without a
-    /// WAL — the caller's in-memory delta is then the only copy, exactly as
-    /// every other write is volatile in that mode.
-    pub fn log_ingest(&mut self, doc_id: u32, xml: &[u8]) -> Result<bool> {
+    /// durable.
+    pub fn log_ingest(&mut self, doc_id: u32, xml: &[u8]) -> Result<()> {
         self.crash.ensure_alive()?;
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
-        };
         let sw = self.timers.start();
-        wal.append_ingest(doc_id, xml, &mut self.crash, &self.obs)?;
+        self.wal
+            .append_ingest(doc_id, xml, &mut self.crash, &self.obs)?;
         self.timers.wal_append.observe(&sw);
-        Ok(true)
+        Ok(())
     }
 
     /// The logged ingested documents no fold has consumed yet, in log
-    /// order. Empty for WAL-less pagers.
+    /// order.
     pub fn pending_ingests(&self) -> Vec<crate::wal::PendingIngest> {
-        match &self.wal {
-            Some(wal) => wal.pending_ingests().to_vec(),
-            None => Vec::new(),
-        }
+        self.wal.pending_ingests().to_vec()
     }
 
     /// (reads, writes) performed since open — used by benchmarks to report
@@ -556,9 +468,9 @@ mod tests {
             let mut pager = Pager::create(&path).unwrap();
             pager.allocate().unwrap();
             pager.allocate().unwrap();
-            pager.sync().unwrap();
+            pager.checkpoint().unwrap();
         }
-        let pager = Pager::open(&path).unwrap();
+        let pager = Pager::open(&path, None).unwrap();
         assert_eq!(pager.page_count(), 3);
         cleanup(&path);
     }
@@ -570,6 +482,8 @@ mod tests {
         let (_, w0) = pager.io_counters();
         let id = pager.allocate().unwrap();
         let mut page = PageBuf::zeroed();
+        page.init(PageType::Leaf);
+        pager.write_page(id, &page).unwrap();
         pager.read_page(id, &mut page).unwrap();
         let (r1, w1) = pager.io_counters();
         assert!(r1 >= 1);
@@ -583,14 +497,14 @@ mod tests {
         {
             let mut pager = Pager::create(&path).unwrap();
             pager.allocate().unwrap();
-            pager.sync().unwrap();
+            pager.checkpoint().unwrap();
         }
-        // Append a partial page: a crashed in-place write.
+        // Append a partial page: a crashed write that no sealed log covers.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[0xAB; 100]).unwrap();
         }
-        let err = match Pager::open(&path) {
+        let err = match Pager::open(&path, None) {
             Err(e) => e,
             Ok(_) => panic!("torn tail must be rejected"),
         };
@@ -631,7 +545,7 @@ mod tests {
     #[test]
     fn wal_mode_serves_logged_pages_and_defers_data_writes() {
         let path = temp_path("walmode");
-        let mut pager = Pager::create_with_wal(&path).unwrap();
+        let mut pager = Pager::create(&path).unwrap();
         let data_len_before = pager.file.metadata().unwrap().len();
         let id = pager.allocate().unwrap();
         let mut page = PageBuf::zeroed();
@@ -661,7 +575,7 @@ mod tests {
         let path = temp_path("waldiscard");
         let id;
         {
-            let mut pager = Pager::create_with_wal(&path).unwrap();
+            let mut pager = Pager::create(&path).unwrap();
             id = pager.allocate().unwrap();
             let mut page = PageBuf::zeroed();
             page.init(PageType::Leaf);
@@ -672,7 +586,7 @@ mod tests {
             page.set_next_page(8);
             pager.write_page(id, &page).unwrap();
         }
-        let mut pager = Pager::open_with_wal(&path, None).unwrap();
+        let mut pager = Pager::open(&path, None).unwrap();
         let mut back = PageBuf::zeroed();
         pager.read_page(id, &mut back).unwrap();
         assert_eq!(back.next_page(), 7, "uncommitted write must roll back");

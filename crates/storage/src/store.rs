@@ -30,10 +30,6 @@ type Catalog = Arc<Mutex<HashMap<String, PageId>>>;
 pub struct StoreOptions {
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Whether to run with a write-ahead log (see [`crate::wal`]). On by
-    /// default; off gives the pre-WAL write-in-place behaviour, where a
-    /// crash mid-flush can corrupt the store.
-    pub wal: bool,
     /// Crash injection armed before the store (and recovery, on open)
     /// touches the file: the nth occurrence of the crash point tears that
     /// operation and kills the store. Test instrumentation.
@@ -44,14 +40,13 @@ impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             pool_pages: 128,
-            wal: true,
             inject_crash: None,
         }
     }
 }
 
 impl StoreOptions {
-    /// Options with the given pool capacity (WAL on, no injection).
+    /// Options with the given pool capacity (no injection).
     pub fn with_pool(pool_pages: usize) -> StoreOptions {
         StoreOptions {
             pool_pages,
@@ -84,11 +79,7 @@ impl Store {
 
     /// Creates a new store file with explicit [`StoreOptions`].
     pub fn create_with(path: &Path, opts: StoreOptions) -> Result<Store> {
-        let mut pager = if opts.wal {
-            Pager::create_with_wal(path)?
-        } else {
-            Pager::create(path)?
-        };
+        let mut pager = Pager::create(path)?;
         if let Some((point, nth)) = opts.inject_crash {
             pager.inject_crash(point, nth);
         }
@@ -112,15 +103,7 @@ impl Store {
 
     /// Opens an existing store file with explicit [`StoreOptions`].
     pub fn open_with(path: &Path, opts: StoreOptions) -> Result<Store> {
-        let mut pager = if opts.wal {
-            Pager::open_with_wal(path, opts.inject_crash)?
-        } else {
-            let mut p = Pager::open(path)?;
-            if let Some((point, nth)) = opts.inject_crash {
-                p.inject_crash(point, nth);
-            }
-            p
-        };
+        let mut pager = Pager::open(path, opts.inject_crash)?;
         let (catalog, free_head) = {
             let mut meta = crate::page::PageBuf::zeroed();
             pager.read_page(0, &mut meta)?;
@@ -292,10 +275,8 @@ impl Store {
     }
 
     /// Logs one ingested document to the WAL, fsynced — durable before the
-    /// caller acknowledges the ingest. Returns `false` (no-op) for stores
-    /// without a WAL, whose every write is volatile until [`Store::flush`]
-    /// anyway.
-    pub fn log_ingest(&self, doc_id: u32, xml: &[u8]) -> Result<bool> {
+    /// caller acknowledges the ingest.
+    pub fn log_ingest(&self, doc_id: u32, xml: &[u8]) -> Result<()> {
         self.pool.log_ingest(doc_id, xml)
     }
 
@@ -306,7 +287,7 @@ impl Store {
     }
 
     /// What WAL recovery did when this store was opened: `None` after a
-    /// clean shutdown (or without a WAL), `Some` when a log had to be
+    /// clean shutdown, `Some` when a log had to be
     /// rolled forward (`completed_checkpoint`) or discarded.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.pool.recovery_report()

@@ -7,8 +7,7 @@
 //!
 //! # Protocol (physical redo, atomic checkpoints)
 //!
-//! With a WAL attached, the pager **never writes data pages in place
-//! between checkpoints**. Every logical page write (an eviction write-back,
+//! The pager **never writes data pages in place between checkpoints**. Every logical page write (an eviction write-back,
 //! a flush write-back, a free-list link) is an append of the full page
 //! image to the log; page reads consult the log's in-memory page table
 //! first, so the latest image is always served. The data file therefore

@@ -3,7 +3,7 @@
 
 use std::io::{Seek, SeekFrom, Write};
 
-use trex_storage::{wal_path, StorageError, Store, StoreOptions, PAGE_SIZE};
+use trex_storage::{wal_path, StorageError, Store, PAGE_SIZE};
 
 fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("trex-inject-{name}-{}", std::process::id()))
@@ -170,21 +170,15 @@ fn truncated_meta_page_is_rejected() {
     cleanup(&path);
 }
 
-/// Without a WAL there is no log to repair a torn tail page from, so the
-/// partial write surfaces as `Corrupt` (with the WAL, recovery repairs it
-/// — covered by the crash-matrix integration test).
+/// A torn tail page that no sealed log covers has nothing to be repaired
+/// from, so the partial write surfaces as `Corrupt` (a tear during a
+/// sealed checkpoint is repaired by recovery — covered by the crash-matrix
+/// integration test).
 #[test]
 fn torn_tail_without_wal_is_corrupt() {
     let path = temp("torntail");
     {
-        let store = Store::create_with(
-            &path,
-            StoreOptions {
-                wal: false,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = Store::create(&path, 128).unwrap();
         let mut t = store.create_table("t").unwrap();
         for i in 0..500u32 {
             t.insert(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
@@ -198,16 +192,11 @@ fn torn_tail_without_wal_is_corrupt() {
             .unwrap();
         f.write_all(&[0xCD; PAGE_SIZE / 4]).unwrap();
     }
-    let err = match Store::open_with(
-        &path,
-        StoreOptions {
-            wal: false,
-            ..StoreOptions::default()
-        },
-    ) {
+    let err = match Store::open(&path, 128) {
         Err(e) => e,
-        Ok(_) => panic!("torn tail must be rejected without a WAL"),
+        Ok(_) => panic!("torn tail must be rejected without a sealed log"),
     };
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     assert!(err.to_string().contains("torn tail"), "{err}");
     cleanup(&path);
 }

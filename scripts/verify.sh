@@ -14,10 +14,14 @@
 # each of its six workloads runs briefly and must report correct answers —
 # every timed op checked against forced-ERA truth. Each runs for the
 # shortest whole-second window in which it reports correct on a 2-core
-# machine: one second, except ingest_mixed, whose own gate wants two folds
-# of 200 documents. Its ingest rate varies enough there that two seconds
-# fit one fold and three or four seconds only sometimes fit two; five
-# seconds fit two in every run measured.
+# machine: one second, except two workloads whose own gates need more.
+# ingest_mixed wants two folds of 200 documents: its ingest rate varies
+# enough there that two seconds fit one fold and three or four seconds
+# only sometimes fit two; five seconds fit two in every run measured.
+# selfmanage_shift wants at least one reconcile cycle, which runs after
+# 100 ops of a phase (half the window): at one second a phase sometimes
+# ends first ("no reconcile cycle ran"), at two seconds it still did in
+# 1 of 15 runs, and three seconds ran a cycle in every run measured.
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,7 +75,7 @@ echo "== macro-benchmark unit tests =="
 CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 for run in "hot_topk 1" "cold_era 1" "http_zipf 1" "ingest_mixed 5" "partition_scatter 1" \
-    "selfmanage_shift 1"; do
+    "selfmanage_shift 3"; do
     read -r workload seconds <<<"$run"
     echo "== benchmark/run.sh --workload $workload --seconds $seconds =="
     bash benchmark/run.sh --workload "$workload" --seconds "$seconds" | tail -n 1 | grep -q '"correct": *true'

@@ -23,6 +23,11 @@ fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("trex-conc-{name}-{}.db", std::process::id()))
 }
 
+fn cleanup(path: &std::path::Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(trex::storage::wal_path(path)).ok();
+}
+
 #[test]
 fn eight_thread_pin_evict_free_churn_loses_nothing() {
     let path = temp("churn");
@@ -140,13 +145,13 @@ fn eight_thread_pin_evict_free_churn_loses_nothing() {
     // No page lost on disk: flush, reopen the raw file, check every image.
     pool.flush().unwrap();
     drop(pool);
-    let mut pager = Pager::open(&path).unwrap();
+    let mut pager = Pager::open(&path, None).unwrap();
     for &id in &ids {
         let mut buf = PageBuf::zeroed();
         pager.read_page(id, &mut buf).unwrap();
         assert_eq!(buf.next_page(), ROUNDS, "page {id} on disk");
     }
-    std::fs::remove_file(&path).ok();
+    cleanup(&path);
 }
 
 /// Pins can exceed a shard's capacity: eviction skips pinned frames and the
@@ -188,5 +193,5 @@ fn pinned_pages_survive_capacity_pressure() {
         pool.fetch(id).unwrap();
     }
     assert!(pool.cached_pages() <= pool.capacity());
-    std::fs::remove_file(&path).ok();
+    cleanup(&path);
 }
