@@ -15,16 +15,16 @@ use trex_text::Analyzer;
 use trex_index::{ListFamily, ListTable, TrexIndex};
 
 use crate::answer::{top_k, Answer};
-use crate::era::{era_with_deadline, EraStats};
-use crate::merge::{merge_with_deadline, MergeStats};
+use crate::era::{era, EraStats};
+use crate::merge::{merge, MergeStats};
 use crate::metrics::StrategyMetrics;
 use crate::selfmanage::cost::{
     predicted_merge_accesses, predicted_merge_block_reads, predicted_ta_accesses,
-    predicted_ta_block_reads, CostValidation,
+    predicted_ta_block_reads,
 };
 use crate::selfmanage::profiler::WorkloadProfiler;
 use crate::serve::Deadline;
-use crate::ta::{ta_with_deadline, TaOptions, TaStats, TA_MAX_TERMS};
+use crate::ta::{ta, TaOptions, TaStats, TA_MAX_TERMS};
 use crate::{Result, TrexError};
 
 /// Which retrieval method to use.
@@ -292,7 +292,7 @@ pub struct QueryEngine<'a> {
     profiler: Option<&'a WorkloadProfiler>,
 }
 
-// Batch evaluation and the scatter run engines on scoped worker threads, so
+// The partition scatter runs engines on scoped worker threads, so
 // losing either auto-trait (say, by giving the engine an `Rc` or `Cell`
 // field) must be a compile error here rather than a surprise in `scoped.rs`.
 const _: () = {
@@ -312,21 +312,13 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Overrides the analyzer (for indexes built with a custom one).
-    pub fn with_analyzer(index: &'a TrexIndex, analyzer: Analyzer) -> QueryEngine<'a> {
-        QueryEngine {
-            index,
-            analyzer,
-            profiler: None,
-        }
-    }
-
     /// Attaches a workload profiler: every subsequent [`evaluate`] with a
     /// concrete `k` feeds the profiler's frequency sketch, and `Auto`
-    /// strategy resolutions that fall back to ERA for lack of lists are
-    /// counted in the profiler's [`SelfManageCounters`].
+    /// evaluations that fall back to ERA for lack of lists are counted in
+    /// the profiler's [`SelfManageCounters`] (an [`explain`] is not).
     ///
     /// [`evaluate`]: QueryEngine::evaluate
+    /// [`explain`]: QueryEngine::explain
     /// [`SelfManageCounters`]: trex_obs::SelfManageCounters
     pub fn with_profiler(mut self, profiler: &'a WorkloadProfiler) -> QueryEngine<'a> {
         self.profiler = Some(profiler);
@@ -467,6 +459,18 @@ impl<'a> QueryEngine<'a> {
         let deadline = Deadline::from_opt(opts.deadline);
         deadline.check()?;
         let strategy = self.resolve_strategy(opts, sids, terms)?;
+        if opts.strategy == Strategy::Auto
+            && strategy == Strategy::Era
+            && !sids.is_empty()
+            && !terms.is_empty()
+        {
+            // Redundant lists could have served this query but were absent
+            // (e.g. mid-reconcile, or not yet selected). Counted here, not
+            // in `resolve_strategy`, so `explain` counts nothing.
+            if let Some(profiler) = self.profiler {
+                profiler.counters().era_fallbacks.incr();
+            }
+        }
 
         // Counter snapshots bracket the whole evaluation; the deltas are the
         // storage / index work attributable to this query (exact when the
@@ -509,13 +513,13 @@ impl<'a> QueryEngine<'a> {
                 let rpls = self.index.rpls()?;
                 let mut ta_opts = TaOptions::new(k);
                 ta_opts.measure_heap = opts.measure_heap;
-                let (answers, stats) = ta_with_deadline(&rpls, sids, terms, ta_opts, deadline)?;
+                let (answers, stats) = ta(&rpls, sids, terms, ta_opts, deadline)?;
                 let total = answers.len();
                 (answers, total, StrategyStats::Ta(stats))
             }
             Strategy::Merge => {
                 let erpls = self.index.erpls()?;
-                let (mut answers, stats) = merge_with_deadline(&erpls, sids, terms, deadline)?;
+                let (mut answers, stats) = merge(&erpls, sids, terms, deadline)?;
                 let total = answers.len();
                 let rank_started = Instant::now();
                 if let Some(k) = opts.k {
@@ -586,8 +590,7 @@ impl<'a> QueryEngine<'a> {
         });
 
         // Cost-model drift: compare the §4 predictions against this query's
-        // actual access counts — the continuous-production version of
-        // `validate_costs`. The read gate is still held, so the list stats
+        // actual access counts. The read gate is still held, so the list stats
         // describe exactly the generation the query evaluated under.
         if (explicit_trace || drift_sampled) && matches!(strategy, Strategy::Ta | Strategy::Merge) {
             if let Some(trace) = &trace {
@@ -715,79 +718,6 @@ impl<'a> QueryEngine<'a> {
         Ok(())
     }
 
-    /// Runs TA and/or Merge (whichever the materialised lists allow) with
-    /// tracing on and compares the measured sorted-access counts against the
-    /// §4 cost-model predictions. Returns one [`CostValidation`] per
-    /// strategy that could run; empty when neither list family covers the
-    /// query.
-    pub fn validate_costs(&self, nexi: &str, k: usize) -> Result<Vec<CostValidation>> {
-        let translation = self.translate(nexi, Interpretation::default())?;
-        let (sids, terms) = (translation.sids.clone(), translation.terms.clone());
-        let mut validations = Vec::new();
-
-        // Coverage checks and list-stat reads run under one gate
-        // acquisition, then the gate is RELEASED before the evaluations —
-        // `evaluate_translated` takes its own read guard, and the std lock
-        // underneath is not reentrant.
-        let gate = self.index.maintenance().enter_read();
-        let (rpls, erpls) = (self.index.rpls()?, self.index.erpls()?);
-        let ta_lists = (rpls.covers(&sids, &terms)?)
-            .then(|| list_sizes(&rpls, &sids, &terms))
-            .transpose()?;
-        let merge_lists = (erpls.covers(&sids, &terms)?)
-            .then(|| list_sizes(&erpls, &sids, &terms))
-            .transpose()?;
-        drop(gate);
-
-        if let Some(lists) = ta_lists {
-            let entries: Vec<u64> = lists.iter().map(|&(e, _)| e).collect();
-            let result = self.evaluate_translated(
-                translation.clone(),
-                EvalOptions::new().k(k).strategy(Strategy::Ta).trace(true),
-            )?;
-            let trace = result.trace.expect("trace was requested");
-            validations.push(CostValidation::new(
-                "ta",
-                trace.cost.sorted_accesses + trace.cost.random_accesses,
-                predicted_ta_accesses(&entries, k),
-            ));
-            // Block-layer validation: the same Fagin depth, converted to
-            // block fetches by each list's entries-per-block density.
-            validations.push(CostValidation::new(
-                "ta-blocks",
-                trace.index.rpl_blocks,
-                predicted_ta_block_reads(&lists, k),
-            ));
-        }
-
-        if let Some(lists) = merge_lists {
-            let entries: Vec<u64> = lists.iter().map(|&(e, _)| e).collect();
-            let blocks: Vec<u64> = lists.iter().map(|&(_, b)| b).collect();
-            let result = self.evaluate_translated(
-                translation.clone(),
-                EvalOptions::new()
-                    .k(k)
-                    .strategy(Strategy::Merge)
-                    .trace(true),
-            )?;
-            let trace = result.trace.expect("trace was requested");
-            validations.push(CostValidation::new(
-                "merge",
-                trace.cost.sorted_accesses + trace.cost.random_accesses,
-                predicted_merge_accesses(&entries) as f64,
-            ));
-            // Merge fetches every block of every list exactly once, so this
-            // prediction is exact like the entry-level one.
-            validations.push(CostValidation::new(
-                "merge-blocks",
-                trace.index.erpl_blocks,
-                predicted_merge_block_reads(&blocks) as f64,
-            ));
-        }
-
-        Ok(validations)
-    }
-
     /// ERA plus scoring of the matches (ERA itself returns tf vectors).
     fn run_era(
         &self,
@@ -798,7 +728,7 @@ impl<'a> QueryEngine<'a> {
         let started = std::time::Instant::now();
         let elements = self.index.elements()?;
         let postings = self.index.postings()?;
-        let (matches, mut stats) = era_with_deadline(&elements, &postings, sids, terms, deadline)?;
+        let (matches, mut stats) = era(&elements, &postings, sids, terms, deadline)?;
         let mut answers = Vec::with_capacity(matches.len());
         for m in matches {
             let mut score = 0.0f32;
@@ -842,13 +772,6 @@ impl<'a> QueryEngine<'a> {
                 } else {
                     Strategy::Era
                 };
-                if chosen == Strategy::Era && !sids.is_empty() && !terms.is_empty() {
-                    // Redundant lists could have served this query but were
-                    // absent (e.g. mid-reconcile, or not yet selected).
-                    if let Some(profiler) = self.profiler {
-                        profiler.counters().era_fallbacks.incr();
-                    }
-                }
                 Ok(chosen)
             }
             Strategy::Ta => {
@@ -923,4 +846,28 @@ fn list_sizes<F: ListFamily>(
         .iter()
         .map(|(_, _, s)| (s.entries, s.blocks))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::TestSystem;
+
+    #[test]
+    fn explain_counts_no_era_fallback_and_evaluate_counts_one() {
+        let docs: Vec<String> = (0..4)
+            .map(|i| format!("<a><s>cat dog w{i}</s></a>"))
+            .collect();
+        let system = TestSystem::build("engine-fallback", 1, &docs);
+        let part = system.part(0);
+        let fallbacks = || part.profiler().counters().era_fallbacks.get();
+        let (nexi, opts) = ("//a//s[about(., cat)]", EvalOptions::new().k(5));
+
+        let plan = part.engine().explain(nexi, opts).unwrap();
+        assert_eq!(plan.chosen, Strategy::Era);
+        assert_eq!(fallbacks(), 0);
+
+        part.engine().evaluate(nexi, opts).unwrap();
+        assert_eq!(fallbacks(), 1);
+    }
 }

@@ -57,20 +57,11 @@ struct ExtentState {
 }
 
 /// Runs ERA over `sids` × `terms`, returning every element (from the given
-/// extents) containing at least one term, with term frequencies.
-pub fn era(
-    elements: &ElementsTable,
-    postings: &PostingsTable,
-    sids: &[Sid],
-    terms: &[TermId],
-) -> Result<(Vec<EraMatch>, EraStats)> {
-    era_with_deadline(elements, postings, sids, terms, Deadline::none())
-}
-
-/// Like [`era`], with a cooperative [`Deadline`] polled every
-/// [`CHECK_INTERVAL`] consumed positions; an expired run fails with
+/// extents) containing at least one term, with term frequencies. The
+/// cooperative [`Deadline`] is polled every [`CHECK_INTERVAL`] consumed
+/// positions ([`Deadline::none`] never fires); an expired run fails with
 /// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded).
-pub fn era_with_deadline(
+pub fn era(
     elements: &ElementsTable,
     postings: &PostingsTable,
     sids: &[Sid],
@@ -226,7 +217,14 @@ mod tests {
 
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (matches, stats) = era(&elements, &postings, &[s_sid], &[cat, dog]).unwrap();
+        let (matches, stats) = era(
+            &elements,
+            &postings,
+            &[s_sid],
+            &[cat, dog],
+            Deadline::none(),
+        )
+        .unwrap();
 
         // s1: cat=1 dog=1; s2: cat=2; s4(doc1): cat=1 dog=2. s3 (bird) absent.
         assert_eq!(matches.len(), 3);
@@ -249,7 +247,14 @@ mod tests {
 
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (matches, _) = era(&elements, &postings, &[outer, inner], &[x]).unwrap();
+        let (matches, _) = era(
+            &elements,
+            &postings,
+            &[outer, inner],
+            &[x],
+            Deadline::none(),
+        )
+        .unwrap();
         assert_eq!(matches.len(), 2);
         let by_sid: Vec<(Sid, u32)> = matches.iter().map(|m| (m.sid, m.tf[0])).collect();
         assert!(by_sid.contains(&(outer, 2)));
@@ -265,7 +270,8 @@ mod tests {
         let outside = index.dictionary().lookup("outside").unwrap();
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (matches, _) = era(&elements, &postings, &[s_sid], &[outside]).unwrap();
+        let (matches, _) =
+            era(&elements, &postings, &[s_sid], &[outside], Deadline::none()).unwrap();
         assert!(matches.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -278,12 +284,12 @@ mod tests {
         let word = index.dictionary().lookup("word").unwrap();
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (m, _) = era(&elements, &postings, &[], &[word]).unwrap();
+        let (m, _) = era(&elements, &postings, &[], &[word], Deadline::none()).unwrap();
         assert!(m.is_empty());
-        let (m, _) = era(&elements, &postings, &[s_sid], &[]).unwrap();
+        let (m, _) = era(&elements, &postings, &[s_sid], &[], Deadline::none()).unwrap();
         assert!(m.is_empty());
         // Unknown sid / exhausted extents.
-        let (m, _) = era(&elements, &postings, &[9999], &[word]).unwrap();
+        let (m, _) = era(&elements, &postings, &[9999], &[word], Deadline::none()).unwrap();
         assert!(m.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -298,7 +304,8 @@ mod tests {
         let target = index.dictionary().lookup("target").unwrap();
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (matches, _) = era(&elements, &postings, &[s_sid], &[target]).unwrap();
+        let (matches, _) =
+            era(&elements, &postings, &[s_sid], &[target], Deadline::none()).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].tf, vec![1]);
         // "target" is the last token of the second s element.

@@ -338,7 +338,7 @@ impl BackgroundWorker<FoldReport> {
     /// partition whose delta crossed either threshold. A final fold on
     /// shutdown is *not* attempted — the WAL already holds every unfolded
     /// document. `health`'s `folds_in_flight` gauge, when given, brackets
-    /// every fold attempt (so `/readyz` can report folds in progress).
+    /// every fold attempt (so `/v1/readyz` can report folds in progress).
     pub fn start(
         system: Arc<PartitionedSystem>,
         opts: FoldOptions,

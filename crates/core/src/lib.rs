@@ -34,19 +34,17 @@ pub use trex_obs as obs;
 
 pub use answer::{rank, top_k, Answer};
 pub use engine::{EvalOptions, Explain, QueryEngine, QueryResult, Strategy, StrategyStats};
-pub use era::{era, era_with_deadline, EraMatch, EraStats};
+pub use era::{era, EraMatch, EraStats};
 pub use heap::{HeapClock, TopKHeap};
 pub use ingest::{fold_once, FoldManager, FoldOptions, FoldReport};
 pub use materialize::{collect_lists, materialize, materialize_batch, ListKind, ScoredLists};
-pub use merge::{merge, merge_with_deadline, MergeStats};
+pub use merge::{merge, MergeStats};
 pub use metrics::StrategyMetrics;
 pub use partition::{
     advise, merge_topk, partition_store_path, reconcile_partitioned, split_budget, Partition,
     PartitionBudget, PartitionedCycle, PartitionedSystem,
 };
-pub use selfmanage::cost::{
-    predicted_merge_accesses, predicted_ta_accesses, CostValidation, TA_PREDICTION_FACTOR,
-};
+pub use selfmanage::cost::{predicted_merge_accesses, predicted_ta_accesses, TA_PREDICTION_FACTOR};
 pub use selfmanage::{
     cycle_record, reconcile_once, reconcile_workload, Choice, CostCache, ManagerHooks,
     ProfilerConfig, QueryCost, ReconcileReport, Selection, SelectionMethod, SelfManageOptions,
@@ -56,7 +54,7 @@ pub use serve::{
     normalize_nexi, parse_query_request, CacheKey, CacheStatus, CachedResult, Deadline,
     QueryRequest, QueryResponse, QueryService, ResultCache, WireError, DEFAULT_CACHE_ENTRIES,
 };
-pub use ta::{ta, ta_with_deadline, TaOptions, TaStats, TA_MAX_TERMS};
+pub use ta::{ta, TaOptions, TaStats, TA_MAX_TERMS};
 pub use worker::BackgroundWorker;
 
 /// Errors from query evaluation.
@@ -82,9 +80,10 @@ pub enum TrexError {
     /// (`u32::MAX` is the `m-pos` sentinel and is never assigned); the
     /// collection must be rebuilt to accept more documents. Not retryable.
     CorpusFull,
-    /// A worker thread panicked while evaluating this query. The panic is
-    /// caught at the batch/scatter boundary so one poisoned query cannot
-    /// tear down its batchmates; the payload's message is preserved here.
+    /// A partition's scatter thread panicked while evaluating this query.
+    /// The panic is caught at the scatter boundary so it cannot tear down
+    /// the other partitions' threads; the payload's message is preserved
+    /// here.
     Internal(String),
 }
 

@@ -19,6 +19,7 @@ use trex_summary::Sid;
 use trex_text::TermId;
 
 use crate::era::era;
+use crate::serve::Deadline;
 use crate::Result;
 
 /// Which redundant index to materialise.
@@ -46,7 +47,7 @@ pub type ScoredLists = HashMap<(TermId, Sid), Vec<(ElementRef, f32)>>;
 pub fn collect_lists(index: &TrexIndex, sids: &[Sid], terms: &[TermId]) -> Result<ScoredLists> {
     let elements = index.elements()?;
     let postings = index.postings()?;
-    let (matches, _) = era(&elements, &postings, sids, terms)?;
+    let (matches, _) = era(&elements, &postings, sids, terms, Deadline::none())?;
 
     let mut lists: ScoredLists = HashMap::new();
     for &term in terms {

@@ -35,19 +35,11 @@ pub struct MergeStats {
 /// answers in descending score order.
 ///
 /// Requires the ERPL lists of every `(term, sid)` pair to be materialised;
-/// the engine checks this before choosing Merge.
-pub fn merge(
-    erpls: &ErplTable,
-    sids: &[Sid],
-    terms: &[TermId],
-) -> Result<(Vec<Answer>, MergeStats)> {
-    merge_with_deadline(erpls, sids, terms, Deadline::none())
-}
-
-/// Like [`merge`], but polls the [`Deadline`] every [`CHECK_INTERVAL`]
-/// merged elements; an expired run fails with
+/// the engine checks this before choosing Merge. Polls the [`Deadline`]
+/// every [`CHECK_INTERVAL`] merged elements ([`Deadline::none`] never
+/// fires); an expired run fails with
 /// [`TrexError::DeadlineExceeded`](crate::TrexError::DeadlineExceeded).
-pub fn merge_with_deadline(
+pub fn merge(
     erpls: &ErplTable,
     sids: &[Sid],
     terms: &[TermId],
@@ -181,7 +173,7 @@ mod tests {
             erpls
                 .put_list(2, 10, &[(el(0, 1), 0.5), (el(0, 9), 3.0)])
                 .unwrap();
-            let (answers, stats) = merge(erpls, &[10], &[1, 2]).unwrap();
+            let (answers, stats) = merge(erpls, &[10], &[1, 2], Deadline::none()).unwrap();
             assert_eq!(answers.len(), 3);
             assert_eq!(answers[0].element, el(0, 9));
             assert_eq!(answers[0].score, 3.0);
@@ -198,7 +190,7 @@ mod tests {
         with_erpls("sids", |erpls| {
             erpls.put_list(1, 10, &[(el(0, 1), 1.0)]).unwrap();
             erpls.put_list(1, 20, &[(el(0, 7), 2.0)]).unwrap();
-            let (answers, _) = merge(erpls, &[10, 20], &[1]).unwrap();
+            let (answers, _) = merge(erpls, &[10, 20], &[1], Deadline::none()).unwrap();
             assert_eq!(answers.len(), 2);
             assert_eq!(answers[0].sid, 20);
             assert_eq!(answers[1].sid, 10);
@@ -209,7 +201,7 @@ mod tests {
     fn missing_lists_contribute_nothing() {
         with_erpls("missing", |erpls| {
             erpls.put_list(1, 10, &[(el(0, 1), 1.0)]).unwrap();
-            let (answers, _) = merge(erpls, &[10, 99], &[1, 2]).unwrap();
+            let (answers, _) = merge(erpls, &[10, 99], &[1, 2], Deadline::none()).unwrap();
             assert_eq!(answers.len(), 1);
         });
     }
@@ -217,7 +209,7 @@ mod tests {
     #[test]
     fn empty_query_is_empty() {
         with_erpls("empty", |erpls| {
-            let (answers, stats) = merge(erpls, &[], &[]).unwrap();
+            let (answers, stats) = merge(erpls, &[], &[], Deadline::none()).unwrap();
             assert!(answers.is_empty());
             assert_eq!(stats.entries_read, 0);
         });
@@ -238,7 +230,7 @@ mod tests {
                     ],
                 )
                 .unwrap();
-            let (answers, _) = merge(erpls, &[10], &[1]).unwrap();
+            let (answers, _) = merge(erpls, &[10], &[1], Deadline::none()).unwrap();
             let scores: Vec<f32> = answers.iter().map(|a| a.score).collect();
             assert_eq!(scores, vec![2.0, 2.0, 1.0, 1.0]);
             // Ties resolved by element order.

@@ -156,31 +156,22 @@ impl PartitionedSystem {
         if let [only] = self.parts.as_slice() {
             return only.engine().evaluate(nexi, opts);
         }
-        let started = Instant::now();
-        let n = self.parts.len();
-        let results = run_scoped(n, n, |i| self.parts[i].engine().evaluate(nexi, opts));
-        let mut per_part = Vec::with_capacity(n);
-        for result in results {
-            per_part.push(result?);
-        }
-        Ok(merge_results(per_part, opts, started.elapsed()))
+        self.scatter(opts, |part| part.engine().evaluate(nexi, opts))
     }
 
-    /// Evaluates a batch of NEXI queries on `threads` scoped worker threads,
-    /// returning per-query results in input order. Each query is evaluated
-    /// exactly once; one that fails (or panics) yields its own `Err` without
-    /// affecting its neighbours. With N > 1 each query still scatters to
-    /// every partition; the scoped pools compose, so total parallelism is
-    /// `threads × partitions`.
-    pub fn evaluate_batch<Q: AsRef<str> + Sync>(
+    /// Runs `eval` on every partition (see [`run_scoped`]) and merges
+    /// the results; the first partition that fails (or panics) fails the
+    /// query.
+    fn scatter(
         &self,
-        queries: &[Q],
         opts: EvalOptions,
-        threads: usize,
-    ) -> Vec<Result<QueryResult>> {
-        run_scoped(queries.len(), threads.max(1), |i| {
-            self.evaluate(queries[i].as_ref(), opts)
-        })
+        eval: impl Fn(&Partition) -> Result<QueryResult> + Sync,
+    ) -> Result<QueryResult> {
+        let started = Instant::now();
+        let per_part = run_scoped(self.parts.len(), |i| eval(&self.parts[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+        Ok(merge_results(per_part, opts, started.elapsed()))
     }
 }
 
@@ -590,54 +581,63 @@ mod tests {
     ];
 
     #[test]
-    fn batch_matches_serial_in_input_order_at_any_partition_count() {
+    fn scatter_matches_a_single_store_at_any_partition_count() {
         let opts = EvalOptions::new().k(Some(5));
-        let single = TestSystem::build("batch-n1", 1, &corpus());
-        let serial: Vec<_> = QUERIES
-            .iter()
-            .map(|q| single.evaluate(q, opts).unwrap().answers)
-            .collect();
-        for partitions in [1, 3] {
-            let system =
-                TestSystem::build(&format!("batch-order-{partitions}"), partitions, &corpus());
-            let batch = system.evaluate_batch(&QUERIES, opts, 4);
-            assert_eq!(batch.len(), QUERIES.len());
-            for (got, want) in batch.into_iter().zip(&serial) {
-                assert_eq!(&got.unwrap().answers, want);
+        let single = TestSystem::build("scatter-n1", 1, &corpus());
+        for partitions in [2, 3] {
+            let system = TestSystem::build(&format!("scatter-{partitions}"), partitions, &corpus());
+            for q in QUERIES {
+                let want = single.evaluate(q, opts).unwrap();
+                let got = system.evaluate(q, opts.trace(true)).unwrap();
+                assert_eq!(got.answers, want.answers, "{q} at {partitions} partitions");
+                assert!(!got.trace.expect("trace requested").strategy.is_empty());
             }
         }
     }
 
     #[test]
-    fn one_failing_query_does_not_poison_the_batch() {
-        let system = TestSystem::build("batch-err", 2, &corpus());
-        let queries = [
-            "//a//s[about(., cat)]",
-            "//a//s[about(., )]]]", // malformed NEXI
-            "//a//s[about(., bird)]",
-        ];
-        let results = system.evaluate_batch(&queries, EvalOptions::new().k(Some(3)), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn empty_batch_single_thread_and_traced_paths() {
-        let system = TestSystem::build("batch-edges", 1, &corpus());
-        let none: Vec<&str> = Vec::new();
+    fn a_failing_or_panicking_partition_fails_the_query() {
+        let system = TestSystem::build("scatter-err", 2, &corpus());
+        let opts = EvalOptions::new().k(Some(3));
+        let nexi = "//a//s[about(., cat)]";
+        // TA needs RPLs, and only partition 0 has them: partition 1 fails.
+        let t = system
+            .part(0)
+            .engine()
+            .translate(nexi, Default::default())
+            .unwrap();
+        crate::materialize_batch(
+            system.part(0).index(),
+            &t.sids,
+            &t.terms,
+            crate::ListKind::Rpl,
+        )
+        .unwrap();
         assert!(system
-            .evaluate_batch(&none, EvalOptions::new(), 1)
-            .is_empty());
-        let opts = EvalOptions::new().k(Some(4)).trace(true);
-        for threads in [1, 2] {
-            let results = system.evaluate_batch(&QUERIES[..2], opts, threads);
-            assert_eq!(results.len(), 2);
-            for r in results {
-                let trace = r.unwrap().trace.expect("trace requested");
-                assert!(!trace.strategy.is_empty());
+            .part(0)
+            .engine()
+            .evaluate(nexi, opts.strategy(crate::Strategy::Ta))
+            .is_ok());
+        assert!(matches!(
+            system.evaluate(nexi, opts.strategy(crate::Strategy::Ta)),
+            Err(crate::TrexError::MissingIndex(_))
+        ));
+
+        // A partition that panics fails the query with an internal error.
+        let result = system.scatter(opts, |part| {
+            if std::ptr::eq(part, system.part(1)) {
+                panic!("injected partition panic");
             }
+            part.engine().evaluate(nexi, opts)
+        });
+        match result {
+            Err(crate::TrexError::Internal(msg)) => {
+                assert!(msg.contains("injected partition panic"), "got: {msg}")
+            }
+            other => panic!("expected Internal, got {other:?}"),
         }
+        // The system still answers afterwards.
+        assert!(system.evaluate(nexi, opts).is_ok());
     }
 
     #[test]

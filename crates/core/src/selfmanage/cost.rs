@@ -13,7 +13,6 @@
 
 use std::collections::HashSet;
 
-use trex_obs::{json_escape, json_field, ToJson};
 use trex_summary::Sid;
 use trex_text::TermId;
 
@@ -24,9 +23,9 @@ use trex_text::TermId;
 /// uniformly-shuffled score orders. Real lists are correlated (the same
 /// elements score well everywhere), early-stopping checks run every
 /// `check_interval` accesses, and short lists bottom out — so the measured
-/// count is only expected to match within this factor, in either direction.
-/// Merge's prediction is exact (every entry of every list is read once), so
-/// it validates with factor 1.
+/// count is only expected to match within this factor, in either direction;
+/// the drift monitor's alert threshold is the same 32×. Merge's prediction
+/// is exact (every entry of every list is read once).
 pub const TA_PREDICTION_FACTOR: f64 = 32.0;
 
 /// Predicted Merge sorted accesses (§4): Merge reads every entry of every
@@ -92,55 +91,6 @@ pub fn predicted_ta_block_reads(lists: &[(u64, u64)], k: usize) -> f64 {
             (depth * blocks as f64 / n_i).ceil().max(1.0)
         })
         .sum()
-}
-
-/// One measured-versus-predicted comparison in §4 cost-model units.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostValidation {
-    /// Which strategy was measured (`"ta"`, `"merge"`).
-    pub strategy: String,
-    /// Sorted + random accesses the traced run actually performed.
-    pub measured: u64,
-    /// The cost model's predicted access count.
-    pub predicted: f64,
-}
-
-impl CostValidation {
-    /// A validation record for `strategy`.
-    pub fn new(strategy: impl Into<String>, measured: u64, predicted: f64) -> CostValidation {
-        CostValidation {
-            strategy: strategy.into(),
-            measured,
-            predicted,
-        }
-    }
-
-    /// `measured / predicted` (predicted floored at one access to keep the
-    /// ratio finite for degenerate empty-list queries).
-    pub fn ratio(&self) -> f64 {
-        self.measured as f64 / self.predicted.max(1.0)
-    }
-
-    /// Whether the ratio is finite and within `factor` of 1 in either
-    /// direction (use [`TA_PREDICTION_FACTOR`] for TA).
-    pub fn within_factor(&self, factor: f64) -> bool {
-        let r = self.ratio();
-        r.is_finite() && r <= factor && r >= 1.0 / factor
-    }
-}
-
-impl ToJson for CostValidation {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"strategy\":\"");
-        out.push_str(&json_escape(&self.strategy));
-        out.push_str("\",");
-        json_field(out, "measured", self.measured);
-        out.push(',');
-        json_field(out, "predicted", self.predicted);
-        out.push(',');
-        json_field(out, "ratio", self.ratio());
-        out.push('}');
-    }
 }
 
 /// One (term, sid) list with its disk footprint.
@@ -359,19 +309,6 @@ mod tests {
         // Empty input and empty lists are free.
         assert_eq!(predicted_ta_block_reads(&[], 10), 0.0);
         assert_eq!(predicted_ta_block_reads(&[(0, 0)], 10), 0.0);
-    }
-
-    #[test]
-    fn validation_ratio_and_factor() {
-        let v = CostValidation::new("ta", 40, 20.0);
-        assert!((v.ratio() - 2.0).abs() < 1e-9);
-        assert!(v.within_factor(2.0));
-        assert!(!v.within_factor(1.5));
-        let exact = CostValidation::new("merge", 35, 35.0);
-        assert!(exact.within_factor(1.0 + 1e-9));
-        let json = v.to_json();
-        assert!(json.contains("\"strategy\":\"ta\""));
-        assert!(json.contains("\"measured\":40"));
     }
 
     #[test]

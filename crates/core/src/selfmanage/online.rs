@@ -514,7 +514,7 @@ fn shape_records(report: &ReconcileReport) -> impl Iterator<Item = ShapeRecord> 
 
 /// Optional observability attachments for the background managers: a
 /// decision journal that receives one [`CycleRecord`] per completed cycle,
-/// and a [`Health`] whose in-flight gauges bracket each cycle (so `/readyz`
+/// and a [`Health`] whose in-flight gauges bracket each cycle (so `/v1/readyz`
 /// can report reconciles/folds in progress). Absent hooks cost nothing.
 #[derive(Clone, Default)]
 pub struct ManagerHooks {

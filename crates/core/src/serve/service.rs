@@ -2,7 +2,8 @@
 //!
 //! Every front door (HTTP endpoint, stdin REPL) routes through this type,
 //! so caching policy, deadline anchoring, and serve metrics are decided in
-//! exactly one place.
+//! exactly one place. Every service has a cache and metrics; only traced
+//! requests bypass the cache.
 //!
 //! The cache is keyed by `(normalized query, k, strategy, interpretation,
 //! maintenance generation)`. Lookups use the *current* generation; inserts
@@ -27,15 +28,17 @@ use crate::{Result, TrexError};
 
 /// Executes [`QueryRequest`]s against a [`PartitionedSystem`] (any
 /// partition count; the scatter-gather merge already reproduces
-/// single-store answers), with an optional generation-keyed
-/// [`ResultCache`] and optional [`ServeMetrics`]. Cache keys use the system
-/// generation (maximum over partitions).
+/// single-store answers) through a generation-keyed [`ResultCache`],
+/// counting into [`ServeMetrics`]. Cache keys use the system generation
+/// (maximum over partitions).
 ///
 /// ```no_run
 /// use std::sync::Arc;
 /// use trex_core::{PartitionedSystem, QueryRequest, QueryService, ResultCache};
+/// use trex_obs::ServeMetrics;
 /// # fn demo(system: &PartitionedSystem) -> trex_core::Result<()> {
-/// let service = QueryService::new(system).with_cache(Arc::new(ResultCache::new(1024)));
+/// let cache = Arc::new(ResultCache::new(1024));
+/// let service = QueryService::new(system, cache, Arc::new(ServeMetrics::new()));
 /// let response = service.execute(&QueryRequest::new("//a//s[about(., xml)]").k(5))?;
 /// assert!(response.answers.len() <= 5);
 /// # Ok(())
@@ -43,31 +46,24 @@ use crate::{Result, TrexError};
 /// ```
 pub struct QueryService<'a> {
     system: &'a PartitionedSystem,
-    cache: Option<Arc<ResultCache>>,
-    metrics: Option<Arc<ServeMetrics>>,
+    cache: Arc<ResultCache>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl<'a> QueryService<'a> {
-    /// A service over `system` with no cache and no metrics.
-    pub fn new(system: &'a PartitionedSystem) -> QueryService<'a> {
+    /// A service over `system` answering through `cache` and counting into
+    /// `metrics` (both shared: the HTTP workers and the REPL use one of
+    /// each).
+    pub fn new(
+        system: &'a PartitionedSystem,
+        cache: Arc<ResultCache>,
+        metrics: Arc<ServeMetrics>,
+    ) -> QueryService<'a> {
         QueryService {
             system,
-            cache: None,
-            metrics: None,
+            cache,
+            metrics,
         }
-    }
-
-    /// Attaches a result cache (shared — the HTTP workers and the REPL use
-    /// one cache).
-    pub fn with_cache(mut self, cache: Arc<ResultCache>) -> QueryService<'a> {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches serve metrics (cache hit/miss counters, request timer).
-    pub fn with_metrics(mut self, metrics: Arc<ServeMetrics>) -> QueryService<'a> {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Ingests one raw XML document, returning the assigned (global) doc id
@@ -76,11 +72,6 @@ impl<'a> QueryService<'a> {
     pub fn ingest(&self, xml: &str) -> std::result::Result<(u32, u64), trex_index::IndexError> {
         let doc_id = self.system.ingest_document(xml)?;
         Ok((doc_id, self.system.generation()))
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
     }
 
     /// Executes one request, anchoring its deadline budget now.
@@ -97,37 +88,35 @@ impl<'a> QueryService<'a> {
     /// request, so queue wait counts against the budget.
     pub fn execute_from(&self, req: &QueryRequest, started: Instant) -> Result<QueryResponse> {
         let result = self.run(req, started);
-        if let Some(metrics) = &self.metrics {
-            metrics.timers.request.record_duration(started.elapsed());
-            if let Err(e) = &result {
-                match e {
-                    TrexError::DeadlineExceeded => metrics.counters.deadline_exceeded.incr(),
-                    TrexError::Parse(_)
-                    | TrexError::MissingIndex(_)
-                    | TrexError::Unsupported(_) => metrics.counters.parse_errors.incr(),
-                    TrexError::Index(_)
-                    | TrexError::Workload(_)
-                    | TrexError::CorpusFull
-                    | TrexError::Internal(_) => metrics.counters.internal_errors.incr(),
+        let counters = &self.metrics.counters;
+        self.metrics
+            .timers
+            .request
+            .record_duration(started.elapsed());
+        if let Err(e) = &result {
+            match e {
+                TrexError::DeadlineExceeded => counters.deadline_exceeded.incr(),
+                TrexError::Parse(_) | TrexError::MissingIndex(_) | TrexError::Unsupported(_) => {
+                    counters.parse_errors.incr()
                 }
+                TrexError::Index(_)
+                | TrexError::Workload(_)
+                | TrexError::CorpusFull
+                | TrexError::Internal(_) => counters.internal_errors.incr(),
             }
         }
         result
     }
 
     fn run(&self, req: &QueryRequest, started: Instant) -> Result<QueryResponse> {
+        let counters = &self.metrics.counters;
         // Trace-context requests bypass for the same reason traced ones do:
         // the span tree must describe work that actually happened.
-        let cache = match (&self.cache, req.trace || req.trace_context.is_some()) {
-            (Some(cache), false) => cache,
-            _ => {
-                if let Some(m) = &self.metrics {
-                    m.counters.cache_bypass.incr();
-                }
-                let result = self.evaluate(req, started)?;
-                return Ok(self.respond(result, CacheStatus::Bypass, started));
-            }
-        };
+        if req.trace || req.trace_context.is_some() {
+            counters.cache_bypass.incr();
+            let result = self.evaluate(req, started)?;
+            return Ok(self.respond(result, CacheStatus::Bypass, started));
+        }
 
         let key = CacheKey {
             nexi: normalize_nexi(&req.nexi),
@@ -136,10 +125,8 @@ impl<'a> QueryService<'a> {
             interpretation: req.interpretation,
             generation: self.system.generation(),
         };
-        if let Some(cached) = cache.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.counters.cache_hits.incr();
-            }
+        if let Some(cached) = self.cache.get(&key) {
+            counters.cache_hits.incr();
             return Ok(QueryResponse {
                 answers: cached.answers.clone(),
                 total_answers: cached.total_answers,
@@ -151,13 +138,11 @@ impl<'a> QueryService<'a> {
             });
         }
 
-        if let Some(m) = &self.metrics {
-            m.counters.cache_misses.incr();
-        }
+        counters.cache_misses.incr();
         let result = self.evaluate(req, started)?;
         // Key the insert at the generation the evaluation actually read
         // under the gate, not the one looked up above.
-        cache.insert(
+        self.cache.insert(
             CacheKey {
                 generation: result.generation,
                 ..key
@@ -177,14 +162,12 @@ impl<'a> QueryService<'a> {
         let result = self.system.evaluate(&req.nexi, opts)?;
         // File the assembled span tree under the request's trace id so
         // `/v1/trace/<id>` can serve it after the response has gone out.
-        if let (Some(ctx), Some(metrics)) = (req.trace_context, &self.metrics) {
-            if let Some(root) = result.trace_tree.clone() {
-                metrics.traces.insert(TraceRecord {
-                    trace_id: ctx.trace_id,
-                    unix_ms: unix_ms(),
-                    root,
-                });
-            }
+        if let (Some(ctx), Some(root)) = (req.trace_context, &result.trace_tree) {
+            self.metrics.traces.insert(TraceRecord {
+                trace_id: ctx.trace_id,
+                unix_ms: unix_ms(),
+                root: root.clone(),
+            });
         }
         Ok(result)
     }
@@ -214,13 +197,17 @@ mod tests {
         TestSystem::build(&format!("service-{name}"), 1, &docs)
     }
 
+    fn service(system: &TestSystem) -> (QueryService<'_>, Arc<ResultCache>, Arc<ServeMetrics>) {
+        let cache = Arc::new(ResultCache::new(16));
+        let metrics = Arc::new(ServeMetrics::new());
+        let service = QueryService::new(system, Arc::clone(&cache), Arc::clone(&metrics));
+        (service, cache, metrics)
+    }
+
     #[test]
     fn repeat_query_hits_the_cache_with_identical_answers() {
         let system = build("hit");
-        let metrics = Arc::new(ServeMetrics::new());
-        let service = QueryService::new(&system)
-            .with_cache(Arc::new(ResultCache::new(16)))
-            .with_metrics(Arc::clone(&metrics));
+        let (service, _, metrics) = service(&system);
 
         let req = QueryRequest::new("//a//s[about(., cat)]").k(Some(5));
         let first = service.execute(&req).unwrap();
@@ -242,33 +229,28 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_cacheless_requests_bypass() {
+    fn traced_requests_bypass_the_cache() {
         let system = build("bypass");
-        let metrics = Arc::new(ServeMetrics::new());
+        let (service, cache, metrics) = service(&system);
 
-        // Traced request, cache attached: bypass (and nothing inserted).
-        let cache = Arc::new(ResultCache::new(16));
-        let service = QueryService::new(&system)
-            .with_cache(Arc::clone(&cache))
-            .with_metrics(Arc::clone(&metrics));
+        // Traced request: bypass, and nothing inserted.
         let traced = QueryRequest::new("//a//s[about(., cat)]").trace(true);
         let response = service.execute(&traced).unwrap();
         assert_eq!(response.cache, CacheStatus::Bypass);
         assert!(response.trace.is_some());
         assert!(cache.is_empty());
+        assert_eq!(metrics.counters.snapshot().cache_bypass, 1);
 
-        // No cache attached: bypass too.
-        let service = QueryService::new(&system);
+        // The same query untraced goes through the cache.
         let plain = QueryRequest::new("//a//s[about(., cat)]");
-        assert_eq!(service.execute(&plain).unwrap().cache, CacheStatus::Bypass);
-
+        assert_eq!(service.execute(&plain).unwrap().cache, CacheStatus::Miss);
         assert_eq!(metrics.counters.snapshot().cache_bypass, 1);
     }
 
     #[test]
     fn different_k_or_strategy_are_distinct_entries() {
         let system = build("keys");
-        let service = QueryService::new(&system).with_cache(Arc::new(ResultCache::new(16)));
+        let (service, _, _) = service(&system);
         let base = QueryRequest::new("//a//s[about(., cat)]");
         assert_eq!(
             service.execute(&base.clone().k(Some(3))).unwrap().cache,
@@ -287,8 +269,7 @@ mod tests {
     #[test]
     fn errors_count_into_the_right_buckets() {
         let system = build("errors");
-        let metrics = Arc::new(ServeMetrics::new());
-        let service = QueryService::new(&system).with_metrics(Arc::clone(&metrics));
+        let (service, _, metrics) = service(&system);
 
         let malformed = QueryRequest::new("//a//s[about(., )]]]");
         assert!(service.execute(&malformed).is_err());

@@ -103,20 +103,11 @@ impl Candidate {
 /// Runs TA for the translated query `(sids, terms)`.
 ///
 /// Requires the RPL lists of every `(term, sid)` pair to be materialised;
-/// the engine checks this before choosing TA. At most 64 terms.
-pub fn ta(
-    rpls: &RplTable,
-    sids: &[Sid],
-    terms: &[TermId],
-    opts: TaOptions,
-) -> Result<(Vec<Answer>, TaStats)> {
-    ta_with_deadline(rpls, sids, terms, opts, Deadline::none())
-}
-
-/// Like [`ta`], but polls the [`Deadline`] every [`CHECK_INTERVAL`] sorted
-/// accesses; an expired run fails with
+/// the engine checks this before choosing TA. At most 64 terms. Polls the
+/// [`Deadline`] every [`CHECK_INTERVAL`] sorted accesses
+/// ([`Deadline::none`] never fires); an expired run fails with
 /// [`TrexError::DeadlineExceeded`].
-pub fn ta_with_deadline(
+pub fn ta(
     rpls: &RplTable,
     sids: &[Sid],
     terms: &[TermId],
@@ -370,7 +361,7 @@ mod tests {
         with_rpls("single", |rpls| {
             rpls.put_list(1, 10, &[(el(0, 1), 5.0), (el(0, 3), 3.0), (el(0, 5), 1.0)])
                 .unwrap();
-            let (answers, stats) = ta(rpls, &[10], &[1], opts(2)).unwrap();
+            let (answers, stats) = ta(rpls, &[10], &[1], opts(2), Deadline::none()).unwrap();
             assert_eq!(answers.len(), 2);
             assert_eq!(answers[0].score, 5.0);
             assert_eq!(answers[1].score, 3.0);
@@ -386,7 +377,7 @@ mod tests {
                 .unwrap();
             rpls.put_list(2, 10, &[(el(0, 1), 1.0), (el(0, 5), 0.5)])
                 .unwrap();
-            let (answers, _) = ta(rpls, &[10], &[1, 2], opts(3)).unwrap();
+            let (answers, _) = ta(rpls, &[10], &[1, 2], opts(3), Deadline::none()).unwrap();
             assert_eq!(answers.len(), 3);
             assert_eq!(answers[0].element, el(0, 1));
             assert!((answers[0].score - 3.0).abs() < 1e-6);
@@ -399,7 +390,7 @@ mod tests {
         with_rpls("skip", |rpls| {
             rpls.put_list(1, 10, &[(el(0, 1), 5.0)]).unwrap();
             rpls.put_list(1, 99, &[(el(9, 9), 100.0)]).unwrap();
-            let (answers, stats) = ta(rpls, &[10], &[1], opts(5)).unwrap();
+            let (answers, stats) = ta(rpls, &[10], &[1], opts(5), Deadline::none()).unwrap();
             assert_eq!(answers.len(), 1);
             assert_eq!(answers[0].element, el(0, 1));
             // The foreign entry was read (sorted access) but skipped.
@@ -412,7 +403,7 @@ mod tests {
         with_rpls("bigk", |rpls| {
             rpls.put_list(1, 10, &[(el(0, 1), 1.0), (el(0, 3), 0.5)])
                 .unwrap();
-            let (answers, stats) = ta(rpls, &[10], &[1], opts(100)).unwrap();
+            let (answers, stats) = ta(rpls, &[10], &[1], opts(100), Deadline::none()).unwrap();
             assert_eq!(answers.len(), 2);
             assert!(stats.read_entire_lists);
         });
@@ -421,9 +412,9 @@ mod tests {
     #[test]
     fn empty_everything() {
         with_rpls("empty", |rpls| {
-            let (answers, _) = ta(rpls, &[10], &[1], opts(5)).unwrap();
+            let (answers, _) = ta(rpls, &[10], &[1], opts(5), Deadline::none()).unwrap();
             assert!(answers.is_empty());
-            let (answers, _) = ta(rpls, &[], &[], opts(5)).unwrap();
+            let (answers, _) = ta(rpls, &[], &[], opts(5), Deadline::none()).unwrap();
             assert!(answers.is_empty());
         });
     }
@@ -447,6 +438,7 @@ mod tests {
                     measure_heap: false,
                     check_interval: 4,
                 },
+                Deadline::none(),
             )
             .unwrap();
             assert_eq!(answers[0].score, 100.0);
@@ -463,7 +455,7 @@ mod tests {
     fn more_than_64_terms_is_a_clean_error() {
         with_rpls("arity65", |rpls| {
             let terms: Vec<TermId> = (0..65).collect();
-            let err = ta(rpls, &[10], &terms, opts(5)).unwrap_err();
+            let err = ta(rpls, &[10], &terms, opts(5), Deadline::none()).unwrap_err();
             match err {
                 TrexError::Unsupported(msg) => {
                     assert!(msg.contains("64"), "mentions the limit: {msg}");
@@ -481,7 +473,7 @@ mod tests {
             // Exercises the `n == 64` full-mask branch end to end.
             rpls.put_list(63, 10, &[(el(0, 1), 2.0)]).unwrap();
             let terms: Vec<TermId> = (0..64).collect();
-            let (answers, _) = ta(rpls, &[10], &terms, opts(5)).unwrap();
+            let (answers, _) = ta(rpls, &[10], &terms, opts(5), Deadline::none()).unwrap();
             assert_eq!(answers.len(), 1);
             assert_eq!(answers[0].element, el(0, 1));
         });
@@ -509,7 +501,7 @@ mod tests {
         let off = varint_len(2); // count varint precedes first_inv
         value[off..off + 4].copy_from_slice(&inverted_score_bits(f32::NAN).to_be_bytes());
         table.insert(&key, &value).unwrap();
-        let err = ta(&rpls, &[10], &[1], opts(5)).unwrap_err();
+        let err = ta(&rpls, &[10], &[1], opts(5), Deadline::none()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("non-finite"), "decode-level rejection: {msg}");
         drop(rpls);
@@ -524,7 +516,7 @@ mod tests {
                 .map(|i| (el(0, 2 * i + 1), (i % 37) as f32))
                 .collect();
             rpls.put_list(1, 10, &entries).unwrap();
-            let (_, stats) = ta(rpls, &[10], &[1], TaOptions::new(10)).unwrap();
+            let (_, stats) = ta(rpls, &[10], &[1], TaOptions::new(10), Deadline::none()).unwrap();
             assert!(stats.heap_time > Duration::ZERO);
             assert!(stats.ita_time() <= stats.wall);
             assert!(stats.heap_ops.0 > 0);

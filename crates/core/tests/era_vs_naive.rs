@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use trex_core::era::era;
+use trex_core::Deadline;
 use trex_index::{ElementRef, IndexBuilder, TrexIndex};
 use trex_storage::Store;
 use trex_summary::{AliasMap, Sid, SummaryKind};
@@ -116,7 +117,7 @@ proptest! {
 
         let elements = index.elements().unwrap();
         let postings = index.postings().unwrap();
-        let (matches, _) = era(&elements, &postings, &sids, &terms).unwrap();
+        let (matches, _) = era(&elements, &postings, &sids, &terms, Deadline::none()).unwrap();
 
         let got: HashMap<(Sid, ElementRef), Vec<u32>> = matches
             .into_iter()

@@ -32,7 +32,7 @@ use trex_obs::Telemetry;
 #[derive(Default)]
 pub struct Maintenance {
     gate: RwLock<()>,
-    /// Shared so readiness surfaces (`/readyz`) can report the generation
+    /// Shared so readiness surfaces (`/v1/readyz`) can report the generation
     /// without holding a reference to the whole index; see
     /// [`Maintenance::generation_cell`].
     generation: Arc<AtomicU64>,

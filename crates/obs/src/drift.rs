@@ -1,5 +1,5 @@
-//! Live cost-model drift monitoring: turns the offline `validate_costs`
-//! check into a continuous production signal.
+//! Live cost-model drift monitoring: the §4 cost model checked against
+//! measured accesses as a continuous production signal.
 //!
 //! On every traced-or-sampled query the engine compares the §4 model's
 //! predicted access counts against the actual counters from the query's

@@ -1,5 +1,5 @@
-//! Readiness state for the serving surface: `/healthz` stays a pure
-//! liveness probe ("the process accepts connections"), while `/readyz`
+//! Readiness state for the serving surface: `/v1/healthz` stays a pure
+//! liveness probe ("the process accepts connections"), while `/v1/readyz`
 //! renders this struct — not ready during open/recovery, plus the current
 //! maintenance generation and whether a reconcile or fold is in flight.
 
@@ -72,7 +72,7 @@ impl Health {
 }
 
 impl ToJson for Health {
-    /// The `/readyz` body.
+    /// The `/v1/readyz` body.
     fn write_json(&self, out: &mut String) {
         out.push('{');
         json_field(out, "ready", self.ready());

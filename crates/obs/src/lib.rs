@@ -55,7 +55,7 @@ pub use trace::{
     SlowQueryLog, TraceContext, TraceNode, TraceRecord, TraceStore, DEFAULT_SLOW_THRESHOLD,
 };
 
-/// Version of every exposition schema this build emits: the `/metrics.json`
+/// Version of every exposition schema this build emits: the `/v1/metrics.json`
 /// layout and the advisor/trace wire bodies share this one number, rendered
 /// as the `schema_version` label of `trex_build_info`.
 pub const SCHEMA_VERSION: u32 = 1;

@@ -151,7 +151,7 @@ impl MetricsRegistry {
         self
     }
 
-    /// Attaches the system's shared readiness state (served at `/readyz`).
+    /// Attaches the system's shared readiness state (served at `/v1/readyz`).
     pub fn with_health(mut self, health: Arc<Health>) -> MetricsRegistry {
         self.health = health;
         self
@@ -190,7 +190,7 @@ impl MetricsRegistry {
         &self.serve
     }
 
-    /// The readiness state behind `/readyz`.
+    /// The readiness state behind `/v1/readyz`.
     pub fn health(&self) -> &Arc<Health> {
         &self.health
     }

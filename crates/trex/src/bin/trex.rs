@@ -66,7 +66,7 @@ usage:
   trex advisor <store.db> [--last N]
   trex serve <store.db> [-k N] [--partitions N] [--self-manage --budget <bytes> [--interval-ms N]]
                         [--listen HOST:PORT] [--workers N] [--queue-depth N]
-                        [--deadline-ms N] [--no-cache] [--fold-docs N] [--slow-ms N]
+                        [--deadline-ms N] [--fold-docs N] [--slow-ms N]
   trex stats <store.db> [--prometheus]
 
 serve reads one NEXI query per line on stdin; with --listen it also answers
@@ -74,22 +74,21 @@ queries over HTTP (POST /v1/query with a JSON body {\"nexi\", \"k\",
 \"strategy\", \"trace\", \"deadline_ms\"}) behind a bounded admission queue
 (--workers worker threads, --queue-depth queue slots, overflow answered
 429). --deadline-ms sets a default per-query evaluation budget (expired
-queries answer 408); --no-cache disables the generation-keyed result cache.
-The HTTP surface also serves /v1/metrics (Prometheus 0.0.4),
+queries answer 408). Both transports answer through one generation-keyed
+result cache. The HTTP surface also serves /v1/metrics (Prometheus 0.0.4),
 /v1/metrics.json, /v1/slow, /v1/healthz (liveness), /v1/readyz
 (readiness: 503 until the store is open and recovered), /v1/advisor/history
 and /v1/advisor/last (the self-manager's decision journal), and
 /v1/trace/<id> (the span tree of a request that carried a traceparent
 header — every POST /v1/query honours inbound W3C traceparent and echoes
-one back), all with unversioned aliases. --slow-ms sets the slow-query
-capture threshold (default 100 ms). The REPL also accepts the commands
-`stats` (metrics JSON), `slow` (slow-query log JSON), `advisor` (decision
-journal JSON), `ingest <file.xml>` (index one document live — it is
-WAL-durable and immediately queryable, folded into the on-disk tables in
-the background) and `fold` (fold the delta index now) on a line by
-themselves. `trex advisor <store.db>` tails the on-disk journal sidecar
-(<store>.advisor.jsonl) after the fact. The HTTP surface ingests via POST /v1/ingest with a raw XML
-body. --fold-docs sets the delta size (documents) that triggers a
+one back). --slow-ms sets the slow-query capture threshold (default
+100 ms). The REPL also accepts the commands `ingest <file.xml>` (index one
+document live — it is WAL-durable and immediately queryable, folded into
+the on-disk tables in the background) and `fold` (fold the delta index
+now) on a line by themselves. `trex stats <store.db>` dumps the metrics
+and `trex advisor <store.db>` tails the on-disk journal sidecar
+(<store>.advisor.jsonl) after the fact. The HTTP surface ingests via POST
+/v1/ingest with a raw XML body. --fold-docs sets the delta size (documents) that triggers a
 background fold (default 1000).
 
 build --partitions N writes N independent stores (<store>.p0 … .p(N-1)),
@@ -548,7 +547,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                 .map_err(|_| "--deadline-ms expects milliseconds")?,
         );
     }
-    http_config.cache = !has_flag(args, "--no-cache");
     let http = match flag(args, "--listen") {
         Some(addr) => {
             let server = system
@@ -556,11 +554,10 @@ fn serve(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("cannot bind http endpoint {addr}: {e}"))?;
             let config = server.config();
             eprintln!(
-                "http: serving on {} ({} workers, queue depth {}, cache {})",
+                "http: serving on {} ({} workers, queue depth {})",
                 server.addr(),
                 config.workers,
                 config.queue_depth,
-                if config.cache { "on" } else { "off" },
             );
             Some(server)
         }
@@ -598,32 +595,15 @@ fn serve(args: &[String]) -> Result<(), String> {
         None
     };
 
-    eprintln!("serving: one NEXI query per line (or `stats` / `slow` / `advisor`), EOF to exit");
+    eprintln!("serving: one NEXI query per line (or `ingest <file>` / `fold`), EOF to exit");
     // The REPL answers through the same QueryService as the HTTP front end
     // (shared cache, shared serve metrics) — one handler, two transports.
-    let service = if http_config.cache {
-        system.service()
-    } else {
-        trex::QueryService::new(system.system()).with_metrics(system.serve_metrics().clone())
-    };
-    let registry = system.metrics();
+    let service = system.service();
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
         let nexi = line.trim();
         if nexi.is_empty() || nexi.starts_with('#') {
-            continue;
-        }
-        if nexi == "stats" {
-            println!("{}", registry.render_json());
-            continue;
-        }
-        if nexi == "slow" {
-            println!("{}", registry.render_slow_json());
-            continue;
-        }
-        if nexi == "advisor" {
-            println!("{}", system.advisor_journal().history_json());
             continue;
         }
         if let Some(path) = nexi.strip_prefix("ingest ") {

@@ -1,8 +1,9 @@
 //! The HTTP front end: query serving plus metrics, hand-rolled HTTP/1.1.
 //!
-//! [`HttpServer`] serves a versioned surface (`/v1/*`, with unversioned
-//! aliases): queries and ingestion through the same [`QueryService`] the
-//! REPL uses, and the metrics, health, advisor and trace routes.
+//! [`HttpServer`] serves a versioned surface, every route under `/v1`:
+//! queries and ingestion through the same [`QueryService`] the REPL uses,
+//! and the metrics, health, advisor and trace routes. Any other path
+//! answers `404` with a body naming these routes.
 //!
 //! | route | method | body |
 //! |---|---|---|
@@ -17,7 +18,7 @@
 //! | `/v1/advisor/last` | GET | the most recent reconcile cycle record |
 //! | `/v1/trace/<id>` | GET | the span tree captured for trace id `<id>` |
 //!
-//! **Tracing.** `/query` requests that carry a W3C `traceparent` header are
+//! **Tracing.** `/v1/query` requests that carry a W3C `traceparent` header are
 //! traced: a malformed header is replaced with a freshly minted identity,
 //! the engine assembles the query's span tree under that id (one child per
 //! partition for scatter queries), and `/v1/trace/<trace-id>` serves the
@@ -41,17 +42,18 @@
 //!
 //! **Errors.** Every non-200 response is a structured JSON object
 //! `{"code", "message", "retryable"}` — `400` (unparsable request or
-//! query), `404`, `405`, `408` (deadline), `411`/`413` (body framing),
+//! query), `404`, `405`, `408` (query deadline, or a request not read
+//! within the I/O timeout), `411`/`413` (body framing),
 //! `431` (request head over 16 KiB or 100 headers), `429` (shed, with a `Retry-After` derived from the observed median
 //! service time and the queue depth), `500` (engine failure), `507`
 //! (document-id space exhausted).
 //!
 //! No external dependency, no framework: requests are read line-by-line
-//! with per-connection read/write timeouts, heads and bodies are capped
-//! (bodies framed by `Content-Length`), and every response closes the
-//! connection.
+//! under one whole-request read deadline, heads and bodies are capped
+//! (bodies framed by `Content-Length`), writes have a timeout, and every
+//! response closes the connection.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -65,6 +67,11 @@ use trex_core::{parse_query_request, QueryService, TrexError};
 
 use crate::TrexSystem;
 
+/// Every route of the module table, as the `404` body names them.
+const ROUTES: &str = "POST /v1/query, POST /v1/ingest, GET /v1/metrics, GET /v1/metrics.json, \
+     GET /v1/slow, GET /v1/healthz, GET /v1/readyz, GET /v1/advisor/history, \
+     GET /v1/advisor/last, GET /v1/trace/<id>";
+
 /// The GET surface: `(status, content-type, body)`, or `None` for paths it
 /// does not serve.
 fn metrics_route(
@@ -72,19 +79,19 @@ fn metrics_route(
     registry: &MetricsRegistry,
 ) -> Option<(&'static str, &'static str, String)> {
     match path {
-        "/metrics" => Some((
+        "/v1/metrics" => Some((
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             registry.render_prometheus(),
         )),
-        "/metrics.json" => Some(("200 OK", "application/json", registry.render_json())),
-        "/slow" => Some(("200 OK", "application/json", registry.render_slow_json())),
+        "/v1/metrics.json" => Some(("200 OK", "application/json", registry.render_json())),
+        "/v1/slow" => Some(("200 OK", "application/json", registry.render_slow_json())),
         // Liveness: answers whenever the process can serve HTTP at all.
-        "/healthz" => Some(("200 OK", "text/plain", "ok\n".to_string())),
+        "/v1/healthz" => Some(("200 OK", "text/plain", "ok\n".to_string())),
         // Readiness: 503 until the owning system flips `ready` after
         // open/recovery; the body reports the maintenance generation and
         // any reconcile/fold currently in flight either way.
-        "/readyz" => {
+        "/v1/readyz" => {
             let health = registry.health();
             let status = if health.ready() {
                 "200 OK"
@@ -97,19 +104,19 @@ fn metrics_route(
                 trex_core::obs::ToJson::to_json(health.as_ref()),
             ))
         }
-        "/advisor/history" => Some((
+        "/v1/advisor/history" => Some((
             "200 OK",
             "application/json",
             registry.advisor().history_json(),
         )),
-        "/advisor/last" => Some(("200 OK", "application/json", registry.advisor().last_json())),
+        "/v1/advisor/last" => Some(("200 OK", "application/json", registry.advisor().last_json())),
         _ => path
-            .strip_prefix("/trace/")
+            .strip_prefix("/v1/trace/")
             .map(|id| trace_route(id, registry)),
     }
 }
 
-/// `/trace/<id>`: the captured span tree for one 32-hex-digit trace id.
+/// `/v1/trace/<id>`: the captured span tree for one 32-hex-digit trace id.
 fn trace_route(id: &str, registry: &MetricsRegistry) -> (&'static str, &'static str, String) {
     let parsed = (id.len() == 32 && id.bytes().all(|b| b.is_ascii_hexdigit()))
         .then(|| u128::from_str_radix(id, 16).ok())
@@ -139,15 +146,6 @@ fn trace_route(id: &str, registry: &MetricsRegistry) -> (&'static str, &'static 
     }
 }
 
-/// Maps a `/v1/...` path to its unversioned alias; other paths pass
-/// through. `/v1/query` and `/query` are the same route.
-fn unversioned(path: &str) -> &str {
-    match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => path,
-    }
-}
-
 /// Configuration of the [`HttpServer`] front end.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
@@ -160,14 +158,15 @@ pub struct HttpServerConfig {
     /// Largest accepted request body in bytes; larger bodies answer `413`
     /// (default 64 KiB).
     pub max_body_bytes: usize,
-    /// Per-connection read/write timeout (default 5 s) — a stalled client
-    /// can hold a worker for at most this long.
+    /// Per-connection I/O timeout (default 5 s). The whole request must be
+    /// read within it, counted from when a worker takes the connection, or
+    /// the connection answers `408` and closes — so a stalled or dripping
+    /// client holds a worker for at most this long. Each write has the
+    /// same timeout.
     pub io_timeout: Duration,
     /// Deadline budget applied to requests that do not carry their own
     /// `deadline_ms` (default: none).
     pub default_deadline_ms: Option<u64>,
-    /// Serve answers from the generation-keyed result cache (default on).
-    pub cache: bool,
 }
 
 impl Default for HttpServerConfig {
@@ -178,7 +177,6 @@ impl Default for HttpServerConfig {
             max_body_bytes: 64 * 1024,
             io_timeout: Duration::from_secs(5),
             default_deadline_ms: None,
-            cache: true,
         }
     }
 }
@@ -198,10 +196,10 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `addr` and starts the acceptor plus `config.workers` worker
-    /// threads answering through a [`QueryService`] over `system`: queries
-    /// scatter to every partition and gather through the rank-safe merge
-    /// (one partition evaluates directly), `/ingest` routes documents to
-    /// their home partition by global doc-id hash.
+    /// threads answering through a [`QueryService`] over `system` and its
+    /// result cache: queries scatter to every partition and gather through
+    /// the rank-safe merge (one partition evaluates directly), `/v1/ingest`
+    /// routes documents to their home partition by global doc-id hash.
     pub fn start(
         addr: &str,
         system: &TrexSystem,
@@ -210,7 +208,7 @@ impl HttpServer {
         config.workers = config.workers.max(1);
         config.queue_depth = config.queue_depth.max(1);
         let target = system.system().clone();
-        let cache = config.cache.then(|| system.result_cache().clone());
+        let cache = system.result_cache().clone();
         let serve = system.serve_metrics().clone();
         let registry = system.metrics();
         let listener = TcpListener::bind(addr)?;
@@ -232,10 +230,7 @@ impl HttpServer {
                 std::thread::Builder::new()
                     .name(format!("trex-http-{i}"))
                     .spawn(move || {
-                        let mut service = QueryService::new(&target).with_metrics(serve.clone());
-                        if let Some(cache) = &cache {
-                            service = service.with_cache(cache.clone());
-                        }
+                        let service = QueryService::new(&target, cache, serve.clone());
                         loop {
                             // The lock is released at the end of this
                             // statement, before the request is handled.
@@ -469,6 +464,28 @@ fn read_request<R: BufRead>(reader: &mut R, max_body_bytes: usize) -> std::io::R
     Ok(Ok((method, path, body, traceparent)))
 }
 
+/// The connection's read side under one deadline for the whole request:
+/// each read waits at most until `deadline`, and a read at or past it
+/// fails with [`ErrorKind::TimedOut`]. `None` (a timeout too large to add
+/// to the clock) leaves only the per-read socket timeout.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 fn handle_conn(
     stream: TcpStream,
     service: &QueryService<'_>,
@@ -476,68 +493,61 @@ fn handle_conn(
     config: &HttpServerConfig,
     enqueued: Instant,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let outcome = read_request(&mut reader, config.max_body_bytes)?;
-    let mut stream = reader.into_inner();
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now().checked_add(config.io_timeout),
+    });
+    let outcome = read_request(&mut reader, config.max_body_bytes);
+    let mut stream = reader.into_inner().stream;
+    let json = "application/json";
     let (method, path, body, traceparent) = match outcome {
-        Ok(parsed) => parsed,
-        Err((status, body)) => return respond(&mut stream, status, "application/json", &body),
+        Ok(Ok(parsed)) => parsed,
+        Ok(Err((status, body))) => return respond(&mut stream, status, json, &body),
+        // A socket read timeout surfaces as `WouldBlock` on Unix.
+        Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+            let body = error_body(
+                "request_timeout",
+                "the request was not received within the server's I/O timeout",
+                true,
+            );
+            return respond(&mut stream, "408 Request Timeout", json, &body);
+        }
+        Err(e) => return Err(e),
     };
 
-    match (method.as_str(), unversioned(&path)) {
-        ("POST", "/query") => {
+    let method_not_allowed = || {
+        let message = "/v1/query and /v1/ingest take POST; every other route takes GET";
+        let body = error_body("method_not_allowed", message, false);
+        ("405 Method Not Allowed", json, body)
+    };
+    let (status, content_type, body) = match (method.as_str(), path.as_str()) {
+        ("POST", "/v1/query") => {
             let (status, body, echo) =
                 answer_query(service, config, &body, enqueued, traceparent.as_deref());
-            respond_with(
-                &mut stream,
-                status,
-                "application/json",
-                &[("traceparent", &echo)],
-                &body,
-            )
+            return respond_with(&mut stream, status, json, &[("traceparent", &echo)], &body);
         }
-        ("POST", "/ingest") => {
+        ("POST", "/v1/ingest") => {
             let (status, body) = answer_ingest(service, &body);
-            respond(&mut stream, status, "application/json", &body)
+            (status, json, body)
         }
-        ("GET", "/query") | ("GET", "/ingest") => respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "application/json",
-            &error_body(
-                "method_not_allowed",
-                "/query and /ingest expect POST",
-                false,
-            ),
-        ),
-        ("GET", get_path) => match metrics_route(get_path, registry) {
-            Some((status, content_type, body)) => respond(&mut stream, status, content_type, &body),
-            None => respond(
-                &mut stream,
-                "404 Not Found",
-                "application/json",
-                &error_body(
-                    "not_found",
-                    "try /v1/query, /v1/metrics, /v1/metrics.json, /v1/slow, /v1/healthz, \
-                     /v1/readyz, /v1/advisor/history or /v1/trace/<id>",
-                    false,
-                ),
-            ),
+        (_, "/v1/query" | "/v1/ingest") => method_not_allowed(),
+        _ => match metrics_route(&path, registry) {
+            Some(reply) if method == "GET" => reply,
+            Some(_) => method_not_allowed(),
+            None => {
+                let message = format!("no such route; try {ROUTES}");
+                (
+                    "404 Not Found",
+                    json,
+                    error_body("not_found", &message, false),
+                )
+            }
         },
-        _ => respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "application/json",
-            &error_body(
-                "method_not_allowed",
-                "use GET, or POST for /query and /ingest",
-                false,
-            ),
-        ),
-    }
+    };
+    respond(&mut stream, status, content_type, &body)
 }
 
-/// Executes one `/ingest` body (a raw XML document), mapping every outcome
+/// Executes one `/v1/ingest` body (a raw XML document), mapping every outcome
 /// to `(status, body)`. Reuses the surrounding framing semantics: oversized
 /// bodies were already shed with `413` by `read_request`, overload with
 /// `429` at the acceptor. The WAL's own payload cap is enforced again here
@@ -583,7 +593,7 @@ fn answer_ingest(service: &QueryService<'_>, body: &str) -> (&'static str, Strin
     }
 }
 
-/// Executes one `/query` body, mapping every outcome to `(status, body,
+/// Executes one `/v1/query` body, mapping every outcome to `(status, body,
 /// traceparent-echo)`. An inbound `traceparent` (malformed ones replaced
 /// with a minted identity) arms span-tree capture; without one, a fresh
 /// identity is minted for the echo only, so the request stays cacheable.
@@ -685,15 +695,6 @@ mod tests {
         // Pathological backlogs clamp at 30 s.
         assert_eq!(retry_after_secs(2_000_000_000, 64), 30);
         assert_eq!(retry_after_secs(u64::MAX, usize::MAX), 30);
-    }
-
-    #[test]
-    fn unversioned_maps_only_proper_v1_prefixes() {
-        assert_eq!(unversioned("/v1/query"), "/query");
-        assert_eq!(unversioned("/v1/metrics.json"), "/metrics.json");
-        assert_eq!(unversioned("/query"), "/query");
-        assert_eq!(unversioned("/v1"), "/v1");
-        assert_eq!(unversioned("/v1x/query"), "/v1x/query");
     }
 
     #[test]

@@ -58,13 +58,12 @@ pub use trex_core::obs::{
 };
 pub use trex_core::{
     fold_once, merge_topk, parse_query_request, partition_store_path, reconcile_once,
-    reconcile_partitioned, split_budget, Answer, CacheStatus, CostCache, CostValidation,
-    EvalOptions, Explain, FoldManager, FoldOptions, FoldReport, ListKind, Partition,
-    PartitionBudget, PartitionedCycle, PartitionedSystem, ProfilerConfig, QueryEngine,
-    QueryRequest, QueryResponse, QueryResult, QueryService, ReconcileReport, ResultCache,
-    SelectionMethod, SelfManageOptions, SelfManager, Strategy, StrategyMetrics, StrategyStats,
-    TrexError, WireError, Workload, WorkloadProfiler, WorkloadQuery, DEFAULT_CACHE_ENTRIES,
-    TA_PREDICTION_FACTOR,
+    reconcile_partitioned, split_budget, Answer, CacheStatus, CostCache, EvalOptions, Explain,
+    FoldManager, FoldOptions, FoldReport, ListKind, Partition, PartitionBudget, PartitionedCycle,
+    PartitionedSystem, ProfilerConfig, QueryEngine, QueryRequest, QueryResponse, QueryResult,
+    QueryService, ReconcileReport, ResultCache, SelectionMethod, SelfManageOptions, SelfManager,
+    Strategy, StrategyMetrics, StrategyStats, TrexError, WireError, Workload, WorkloadProfiler,
+    WorkloadQuery, DEFAULT_CACHE_ENTRIES, TA_PREDICTION_FACTOR,
 };
 pub use trex_index::partition_of;
 pub use trex_index::{ElementRef, TrexIndex};
@@ -367,7 +366,7 @@ impl TrexSystem {
         &self.journal
     }
 
-    /// Liveness/readiness state served at `/healthz` and `/readyz`; its
+    /// Liveness/readiness state served at `/v1/healthz` and `/v1/readyz`; its
     /// generation is the maximum across partitions, matching the
     /// result-cache key.
     pub fn health(&self) -> &Arc<Health> {
@@ -408,7 +407,7 @@ impl TrexSystem {
     /// Starts the background fold worker (sibling of the self-manager): it
     /// watches every partition's delta index and folds it into the B+tree
     /// tables whenever it crosses `opts` size thresholds, reporting folds
-    /// in progress at `/readyz`. Stop (or drop) the returned handle to shut
+    /// in progress at `/v1/readyz`. Stop (or drop) the returned handle to shut
     /// it down; unfolded documents stay WAL-durable.
     pub fn start_fold_manager(&self, opts: FoldOptions) -> Result<FoldManager> {
         FoldManager::start(self.system.clone(), opts, Some(self.health.clone()))
@@ -455,9 +454,7 @@ impl TrexSystem {
     /// its result cache and serve metrics. The HTTP front end and the REPL
     /// answer queries through this one path.
     pub fn service(&self) -> QueryService<'_> {
-        QueryService::new(&self.system)
-            .with_cache(self.cache.clone())
-            .with_metrics(self.serve_metrics.clone())
+        QueryService::new(&self.system, self.cache.clone(), self.serve_metrics.clone())
     }
 
     /// Starts the query-serving HTTP front end on `addr` (see
@@ -483,14 +480,6 @@ impl TrexSystem {
     ) -> Result<QueryResult> {
         self.system
             .evaluate(nexi, EvalOptions::new().k(k).strategy(strategy))
-    }
-
-    /// Like [`TrexSystem::search`], but attaches a [`QueryTrace`] (stage
-    /// timings plus storage / index / cost-model counter deltas) to the
-    /// result.
-    pub fn search_traced(&self, nexi: &str, k: Option<usize>) -> Result<QueryResult> {
-        self.system
-            .evaluate(nexi, EvalOptions::new().k(k).trace(true))
     }
 
     /// Materialises the redundant lists a query needs (RPLs for TA, ERPLs

@@ -3,8 +3,9 @@
 //! evaluation), the generation-keyed result cache (hit on repeat, miss
 //! after a reconcile bumps the generation), bounded-queue admission
 //! control (`429` at saturation, counter-asserted), cooperative deadlines
-//! (`408`), request-framing robustness (`400`/`405`/`404`/`411`/`413`), and
-//! shutdown (a stopped server answers nothing).
+//! (`408`), request-framing robustness (`400`/`405`/`404`/`411`/`413`), a
+//! whole-request read deadline against dripping clients, `/v1`-only
+//! routing, and shutdown (a stopped server answers nothing).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -405,16 +406,16 @@ fn malformed_requests_get_structured_errors() {
     assert!(status.contains("413"), "{status}");
     assert!(body.contains("payload_too_large"), "{body}");
 
-    // GET on /query → 405; unknown route → 404.
+    // GET on /v1/query → 405; unknown route → 404.
     let (status, _, body) = http_request(addr, "GET", "/v1/query", None, None);
     assert!(status.contains("405"), "{status}");
     assert!(body.contains("method_not_allowed"), "{body}");
     let (status, _, _) = http_request(addr, "GET", "/v1/nope", None, None);
     assert!(status.contains("404"), "{status}");
 
-    // The unversioned alias answers queries too, and the GET surface is up.
+    // A well-formed query still answers, and the GET surface is up.
     let ok = r#"{"nexi": "//article//sec[about(., xml)]"}"#;
-    let (status, _, _) = http_request(addr, "POST", "/query", Some(ok), Some(ok.len()));
+    let (status, _, _) = http_request(addr, "POST", "/v1/query", Some(ok), Some(ok.len()));
     assert!(status.contains("200"), "{status}");
     let (status, _, body) = http_request(addr, "GET", "/v1/healthz", None, None);
     assert!(status.contains("200"), "{status}");
@@ -436,5 +437,110 @@ fn malformed_requests_get_structured_errors() {
         Ok(s.read(&mut buf)? > 0)
     });
     assert!(!answered.unwrap_or(false), "a stopped server still answers");
+    cleanup(&path);
+}
+
+#[test]
+fn bare_paths_answer_404_naming_every_v1_route() {
+    let path = temp("routes");
+    let system = build_system(&path);
+    let server = system
+        .serve_http("127.0.0.1:0", HttpServerConfig::default())
+        .expect("start http server");
+    let addr = server.addr();
+
+    let ok = r#"{"nexi": "//article//sec[about(., xml)]"}"#;
+    for (method, route, body) in [
+        ("POST", "/query", Some(ok)),
+        ("GET", "/metrics", None),
+        ("GET", "/healthz", None),
+        ("GET", "/v1/nope", None),
+    ] {
+        let (status, _, reply) = http_request(addr, method, route, body, body.map(str::len));
+        assert!(status.contains("404"), "{method} {route}: {status}");
+        assert!(reply.contains("not_found"), "{reply}");
+        for route in [
+            "/v1/query",
+            "/v1/ingest",
+            "/v1/metrics",
+            "/v1/metrics.json",
+            "/v1/slow",
+            "/v1/healthz",
+            "/v1/readyz",
+            "/v1/advisor/history",
+            "/v1/advisor/last",
+            "/v1/trace/<id>",
+        ] {
+            assert!(reply.contains(route), "404 body omits {route}: {reply}");
+        }
+    }
+    server.stop();
+    cleanup(&path);
+}
+
+#[test]
+fn dripping_client_is_cut_off_at_the_io_timeout() {
+    let path = temp("drip");
+    let system = build_system(&path);
+    // One worker: the follow-up query only answers if the drip released it.
+    let server = system
+        .serve_http(
+            "127.0.0.1:0",
+            HttpServerConfig {
+                workers: 1,
+                io_timeout: Duration::from_millis(300),
+                ..HttpServerConfig::default()
+            },
+        )
+        .expect("start http server");
+    let addr = server.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let started = Instant::now();
+    // One header byte every 100 ms — each read succeeds well within the
+    // timeout, so only a deadline on the whole request ends it. The writer
+    // stops at the first failed write or after 3 s.
+    let drip = std::thread::spawn(move || {
+        let head = "GET /v1/healthz HTTP/1.1\r\nX-Drip: ";
+        if writer.write_all(head.as_bytes()).is_err() {
+            return;
+        }
+        while started.elapsed() < Duration::from_secs(3) {
+            std::thread::sleep(Duration::from_millis(100));
+            if writer.write_all(b"a").is_err() {
+                return;
+            }
+        }
+    });
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 1024];
+    let ended = loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            // A reset after the server closed also ends the connection.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break true,
+            Err(_) => break false,
+        }
+    };
+    let waited = started.elapsed();
+    assert!(ended, "the server never ended the dripping connection");
+    assert!(waited < Duration::from_secs(1), "held for {waited:?}");
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.is_empty() || (reply.contains("408") && reply.contains("request_timeout")),
+        "{reply}"
+    );
+    drop(stream);
+    drip.join().unwrap();
+
+    let ok = r#"{"nexi": "//article//sec[about(., xml)]"}"#;
+    let (status, _, _) = http_request(addr, "POST", "/v1/query", Some(ok), Some(ok.len()));
+    assert!(status.contains("200"), "{status}");
+    server.stop();
     cleanup(&path);
 }

@@ -1,7 +1,7 @@
 //! `curl`-equivalent integration test of the live metrics surface:
-//! `trex serve --listen` must answer `/metrics` with valid Prometheus
+//! `trex serve --listen` must answer `/v1/metrics` with valid Prometheus
 //! text exposition (cumulative, `+Inf`-terminated histogram buckets),
-//! `/metrics.json` with well-formed JSON, and `/slow` with the span tree of
+//! `/v1/metrics.json` with well-formed JSON, and `/v1/slow` with the span tree of
 //! a deliberately slow query (threshold 0) whose spans nest.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -303,7 +303,7 @@ fn serve_metrics_endpoint_end_to_end() {
             "--listen",
             "127.0.0.1:0",
             "--slow-ms",
-            "0", // every query is "slow": deterministic /slow content
+            "0", // every query is "slow": deterministic /v1/slow content
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -325,7 +325,7 @@ fn serve_metrics_endpoint_end_to_end() {
         }
     };
 
-    let (status, body) = http_get(&addr, "/healthz");
+    let (status, body) = http_get(&addr, "/v1/healthz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ok\n");
 
@@ -345,8 +345,8 @@ fn serve_metrics_endpoint_end_to_end() {
         }
     }
 
-    // /metrics: valid Prometheus text exposition.
-    let (status, prom) = http_get(&addr, "/metrics");
+    // /v1/metrics: valid Prometheus text exposition.
+    let (status, prom) = http_get(&addr, "/v1/metrics");
     assert!(status.contains("200"), "{status}");
     let histograms = validate_prometheus_histograms(&prom);
     assert!(
@@ -361,17 +361,17 @@ fn serve_metrics_endpoint_end_to_end() {
     assert!(prom.contains("# TYPE trex_storage_page_read_seconds histogram"));
     assert!(prom.contains("# TYPE trex_storage_pool_hits_total counter"));
 
-    // /metrics.json: well-formed JSON with the same groups.
-    let (status, json) = http_get(&addr, "/metrics.json");
+    // /v1/metrics.json: well-formed JSON with the same groups.
+    let (status, json) = http_get(&addr, "/v1/metrics.json");
     assert!(status.contains("200"), "{status}");
-    validate_json(&json).unwrap_or_else(|e| panic!("/metrics.json invalid: {e}\n{json}"));
+    validate_json(&json).unwrap_or_else(|e| panic!("/v1/metrics.json invalid: {e}\n{json}"));
     assert!(json.contains("\"histograms\":{\"storage\":{"), "{json}");
     assert!(json.contains("\"slow_queries\":1"), "{json}");
 
-    // /slow: the query is there (threshold 0), with a nesting span tree.
-    let (status, slow) = http_get(&addr, "/slow");
+    // /v1/slow: the query is there (threshold 0), with a nesting span tree.
+    let (status, slow) = http_get(&addr, "/v1/slow");
     assert!(status.contains("200"), "{status}");
-    validate_json(&slow).unwrap_or_else(|e| panic!("/slow invalid: {e}\n{slow}"));
+    validate_json(&slow).unwrap_or_else(|e| panic!("/v1/slow invalid: {e}\n{slow}"));
     assert!(
         slow.contains("xml query evaluation"),
         "slow log must carry the NEXI text: {slow}"
@@ -391,7 +391,7 @@ fn serve_metrics_endpoint_end_to_end() {
         "the query's span tree"
     );
 
-    let (status, _) = http_get(&addr, "/nope");
+    let (status, _) = http_get(&addr, "/v1/nope");
     assert!(status.contains("404"), "{status}");
 
     drop(stdin); // EOF ends the REPL

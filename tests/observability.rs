@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use trex::corpus::{CorpusConfig, IeeeGenerator};
-use trex::obs::{parse_json, JsonValue, TraceContext, TraceNode};
+use trex::obs::{parse_json, DriftKind, JsonValue, TraceContext, TraceNode, DRIFT_KINDS};
 use trex::{
     EvalOptions, ListKind, Strategy, StrategyMetrics, ToJson, TrexConfig, TrexSystem,
     TA_PREDICTION_FACTOR,
@@ -43,7 +43,10 @@ fn trace_is_attached_only_on_request() {
     let plain = system.search(QUERY, Some(10)).unwrap();
     assert!(plain.trace.is_none(), "no trace unless requested");
 
-    let traced = system.search_traced(QUERY, Some(10)).unwrap();
+    let traced = system
+        .system()
+        .evaluate(QUERY, EvalOptions::new().k(10).trace(true))
+        .unwrap();
     let trace = traced.trace.expect("trace requested");
     assert_eq!(trace.strategy, "era", "no redundant lists yet");
     assert!(trace.storage.cursor_steps > 0, "ERA walks B+tree cursors");
@@ -119,43 +122,36 @@ fn measured_accesses_validate_against_cost_model() {
     let system = TrexSystem::build(TrexConfig::new(&store), small_ieee(80)).unwrap();
     system.materialize_for(QUERY, ListKind::Both).unwrap();
 
-    let validations = system.engine().validate_costs(QUERY, 5).unwrap();
-    assert_eq!(
-        validations.len(),
-        4,
-        "TA and Merge were covered, each with an entry- and a block-level record"
-    );
-    for v in &validations {
-        let ratio = v.ratio();
-        assert!(
-            ratio.is_finite(),
-            "{}: ratio {ratio} not finite",
-            v.strategy
+    // Every traced TA or Merge query feeds the drift monitor the §4
+    // predictions beside the accesses the query measured.
+    for strategy in [Strategy::Merge, Strategy::Ta] {
+        let opts = EvalOptions::new().k(5).strategy(strategy).trace(true);
+        system.system().evaluate(QUERY, opts).unwrap();
+    }
+    let drift = &system.index().telemetry().drift;
+    for kind in DRIFT_KINDS {
+        assert_eq!(
+            drift.samples(kind),
+            1,
+            "{}: one traced query",
+            kind.as_str()
         );
-        match v.strategy.as_str() {
+        let err = drift.ewma(kind);
+        match kind {
             // Merge's predictions are exact: every ERPL entry is read once,
             // and therefore every block of every covered list is fetched once.
-            "merge" | "merge-blocks" => assert_eq!(
-                v.measured, v.predicted as u64,
-                "{} measured {} != predicted {}",
-                v.strategy, v.measured, v.predicted
-            ),
+            DriftKind::MergeEntries | DriftKind::MergeBlocks => {
+                assert_eq!(err, 0.0, "{}: relative error {err}", kind.as_str())
+            }
             // TA's Fagin-style depth estimate holds within the documented
             // factor (see `TA_PREDICTION_FACTOR` for why it is loose); the
             // block estimate derives from the same depth so inherits it.
-            "ta" | "ta-blocks" => assert!(
-                v.within_factor(TA_PREDICTION_FACTOR),
-                "{} measured {} vs predicted {} (ratio {ratio}) outside factor {TA_PREDICTION_FACTOR}",
-                v.strategy,
-                v.measured,
-                v.predicted
+            DriftKind::TaEntries | DriftKind::TaBlocks => assert!(
+                err.is_finite() && err < TA_PREDICTION_FACTOR,
+                "{}: relative error {err} outside factor {TA_PREDICTION_FACTOR}",
+                kind.as_str()
             ),
-            other => panic!("unexpected strategy {other}"),
         }
-        // Every validation record renders as JSON for the bench export.
-        assert!(v
-            .to_json()
-            .contains(&format!("\"strategy\":\"{}\"", v.strategy)));
     }
     std::fs::remove_file(&store).ok();
 }
@@ -172,7 +168,8 @@ fn concurrent_queries_match_serial_run_and_counters_add_up() {
     system.materialize_for(QUERY, ListKind::Both).unwrap();
 
     // Serial baseline: answers + per-query index-counter delta.
-    let serial = system.search_traced(QUERY, Some(10)).unwrap();
+    let traced = EvalOptions::new().k(10).trace(true);
+    let serial = system.system().evaluate(QUERY, traced).unwrap();
     let serial_trace = serial.trace.clone().unwrap();
     assert!(serial_trace.entries_decoded() > 0);
 
@@ -182,7 +179,7 @@ fn concurrent_queries_match_serial_run_and_counters_add_up() {
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
-                let result = system.search_traced(QUERY, Some(10)).unwrap();
+                let result = system.system().evaluate(QUERY, traced).unwrap();
                 assert_eq!(result.answers.len(), serial.answers.len());
                 for (a, b) in result.answers.iter().zip(&serial.answers) {
                     assert_eq!(a.element, b.element);
@@ -232,10 +229,11 @@ fn concurrent_queries_match_serial_run_and_counters_add_up() {
         "cursor steps are deterministic per query"
     );
 
-    // Batch evaluation does the same work at every thread count: identical
-    // total pool fetches, and per-shard deltas that sum exactly to the
-    // pool totals. Forced ERA, because the drift sampler (Ta/Merge only)
-    // reads list stats on whichever queries its round-robin lands on.
+    // A batch split over scoped threads does the same work at every thread
+    // count: identical total pool fetches, and per-shard deltas that sum
+    // exactly to the pool totals. Forced ERA, because the drift sampler
+    // (Ta/Merge only) reads list stats on whichever queries its round-robin
+    // lands on.
     let batch: Vec<&str> = trex::corpus::PAPER_QUERIES
         .iter()
         .filter(|q| q.collection == trex::corpus::Collection::Ieee)
@@ -247,11 +245,18 @@ fn concurrent_queries_match_serial_run_and_counters_add_up() {
     let era = EvalOptions::new().k(10).strategy(Strategy::Era);
     let pool = system.index().store().pool();
     let storage = system.index().store().counters();
-    let run = |threads| {
+    let run = |threads: usize| {
         let (before, shards_before) = (storage.snapshot(), pool.shard_counters());
-        for r in system.system().evaluate_batch(&batch, era, threads) {
-            r.unwrap();
-        }
+        std::thread::scope(|s| {
+            for chunk in batch.chunks(batch.len().div_ceil(threads)) {
+                let system = system.system();
+                s.spawn(move || {
+                    for q in chunk {
+                        system.evaluate(q, era).unwrap();
+                    }
+                });
+            }
+        });
         let delta = storage.snapshot().delta(&before);
         let shards = pool.shard_counters();
         let shard_deltas = shards.iter().zip(&shards_before).map(|(s, b)| s.delta(b));

@@ -2,7 +2,7 @@
 //! round-trips over HTTP (inbound ids honored, malformed ids replaced,
 //! every response echoes one), `/v1/trace/<id>` span trees (single-store
 //! and partitioned scatter — one child span per partition, answers still
-//! byte-identical), `/healthz` vs `/readyz`, the advisor decision journal
+//! byte-identical), `/v1/healthz` vs `/v1/readyz`, the advisor decision journal
 //! at `/v1/advisor/history`, and cost-model drift convergence on a steady
 //! workload.
 
@@ -235,7 +235,7 @@ fn healthz_is_liveness_readyz_is_readiness() {
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ok\n");
 
-    let (status, _, body) = http_request(addr, "GET", "/readyz", &[], None);
+    let (status, _, body) = http_request(addr, "GET", "/v1/readyz", &[], None);
     assert!(status.contains("200"), "{status}: {body}");
     let health = parse_json(&body).expect("readyz body is JSON");
     assert_eq!(health.get("ready").unwrap().as_bool(), Some(true));
@@ -262,7 +262,7 @@ fn healthz_is_liveness_readyz_is_readiness() {
 /// The one fold worker serves every partition and is wired to the health
 /// surface at any partition count: documents ingested over HTTP into a
 /// three-partition system all drain out of their home partitions' deltas,
-/// and `/readyz` stays well-formed JSON throughout.
+/// and `/v1/readyz` stays well-formed JSON throughout.
 #[test]
 fn fold_worker_drains_every_partition_under_readyz() {
     let path = temp("fold-parts");
